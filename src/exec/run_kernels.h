@@ -4,11 +4,13 @@
 // SIMD tape execution backends: the ISA-specific executors behind
 // exec::Program::run, plus the process-wide runtime dispatch selecting them.
 //
-// The tape semantics are fixed by the scalar executor (the PR-4 u64 loop,
-// now living in run_kernels_scalar.cpp); the AVX2 / AVX-512 backends run the
-// *same* instruction stream but process a sweep's blocks as 256- / 512-bit
-// vectors — four or eight 64-lane blocks per word-op — so one pass over a
-// 16-block sweep touches each instruction once for up to 1024 test vectors.
+// One interpreter, written once over a word type in run_kernels_generic.h,
+// runs the tape on every backend.  The scalar rung instantiates it on u64
+// words and fixes the semantics the guard screens the other rungs against
+// (the differential tests anchor it to netlist::simulate_interpreted); the
+// AVX2 / AVX-512 rungs instantiate it on 256- / 512-bit vector words — four
+// or eight 64-lane blocks per word-op — so one pass over a 16-block sweep
+// touches each instruction once for up to 1024 test vectors.
 //
 // Layout contract shared by every backend: the slot arena is an array of
 // `slot_count` slots of `stride` words each, where

@@ -1,9 +1,9 @@
-// AVX2 tape executor: each tape instruction processes the sweep's blocks as
-// 256-bit vectors — four 64-lane blocks per word-op, up to four YMM vectors
-// (16 blocks) per slot.  The slot arena stride is rounded up to 4 words, so
-// every slot starts 32-byte aligned (the arena base is 64-byte aligned);
-// pad words beyond `blocks` are zeroed at input-load time, computed through
-// like real blocks, and never stored to the output.
+// AVX2 tape executor: the shared interpreter and sweep oracle
+// (run_kernels_generic.h) on 256-bit words — four 64-lane blocks per
+// word-op, up to four YMM vectors (16 blocks) per slot.  The slot stride is
+// rounded up to 4 words, so every slot starts 32-byte aligned; pad words
+// beyond `blocks` are zeroed at input-load time, computed through like real
+// blocks, and never stored to the output.
 //
 // This translation unit is the only one compiled with -mavx2
 // (GFR_EXEC_HAVE_AVX2 from CMake); the dispatcher never selects the kernel
@@ -13,285 +13,19 @@
 
 #if defined(GFR_EXEC_HAVE_AVX2)
 
-#include <immintrin.h>
+#include "exec/run_kernels_generic.h"
 
-#include <cstddef>
 #include <cstdint>
 
 namespace gfr::exec {
 
 namespace {
 
-/// NV = YMM vectors per slot = stride / 4, for stride = round_up(blocks, 4).
-template <int NV>
-void run_tape(const TapeView& tape, const std::uint64_t* in, std::uint64_t* out,
-              std::uint64_t* slots, int blocks) {
-    constexpr int kStride = NV * 4;
-    const int n_in = tape.n_inputs;
-    const int n_out = tape.n_outputs;
+typedef std::uint64_t Ymm __attribute__((vector_size(32), may_alias));
+static_assert(sizeof(Ymm) == 8 * 4, "vector_size ignored");
 
-    const auto slot_ptr = [&](std::uint32_t s) {
-        return slots + static_cast<std::size_t>(s) * kStride;
-    };
-    const auto vec = [](const std::uint64_t* p, int v) {
-        return _mm256_load_si256(reinterpret_cast<const __m256i*>(p) + v);
-    };
-    const auto store = [](std::uint64_t* p, int v, __m256i x) {
-        _mm256_store_si256(reinterpret_cast<__m256i*>(p) + v, x);
-    };
-
-    if (tape.uses_zero_slot) {
-        std::uint64_t* dst = slot_ptr(0);
-        for (int v = 0; v < NV; ++v) {
-            store(dst, v, _mm256_setzero_si256());
-        }
-    }
-    for (std::size_t l = 0; l < tape.n_input_loads; ++l) {
-        const auto [input_index, slot] = tape.input_loads[l];
-        std::uint64_t* dst = slot_ptr(slot);
-        int w = 0;
-        for (; w < blocks; ++w) {
-            dst[w] = in[static_cast<std::size_t>(w) * n_in + input_index];
-        }
-        for (; w < kStride; ++w) {
-            dst[w] = 0;
-        }
-    }
-
-    const std::uint32_t* args = tape.args;
-    for (std::size_t idx = 0; idx < tape.n_insns; ++idx) {
-        const Program::Insn& insn = tape.insns[idx];
-        const std::uint32_t* a = args + insn.arg_begin;
-        std::uint64_t* dst = slot_ptr(insn.dst);
-        switch (insn.op) {
-            case Op::And2: {
-                const std::uint64_t* x = slot_ptr(a[0]);
-                const std::uint64_t* y = slot_ptr(a[1]);
-                for (int v = 0; v < NV; ++v) {
-                    store(dst, v, _mm256_and_si256(vec(x, v), vec(y, v)));
-                }
-                break;
-            }
-            case Op::Xor2: {
-                const std::uint64_t* x = slot_ptr(a[0]);
-                const std::uint64_t* y = slot_ptr(a[1]);
-                for (int v = 0; v < NV; ++v) {
-                    store(dst, v, _mm256_xor_si256(vec(x, v), vec(y, v)));
-                }
-                break;
-            }
-            case Op::XorN: {
-                __m256i acc[NV];
-                const std::uint64_t* x = slot_ptr(a[0]);
-                for (int v = 0; v < NV; ++v) {
-                    acc[v] = vec(x, v);
-                }
-                for (std::uint32_t i = 1; i < insn.arg_count; ++i) {
-                    const std::uint64_t* y = slot_ptr(a[i]);
-                    for (int v = 0; v < NV; ++v) {
-                        acc[v] = _mm256_xor_si256(acc[v], vec(y, v));
-                    }
-                }
-                for (int v = 0; v < NV; ++v) {
-                    store(dst, v, acc[v]);
-                }
-                break;
-            }
-            case Op::AndXorN: {
-                __m256i acc[NV];
-                for (int v = 0; v < NV; ++v) {
-                    acc[v] = _mm256_setzero_si256();
-                }
-                const std::uint32_t pairs = insn.aux;
-                for (std::uint32_t i = 0; i < pairs; ++i) {
-                    const std::uint64_t* x = slot_ptr(a[2 * i]);
-                    const std::uint64_t* y = slot_ptr(a[2 * i + 1]);
-                    for (int v = 0; v < NV; ++v) {
-                        acc[v] = _mm256_xor_si256(
-                            acc[v], _mm256_and_si256(vec(x, v), vec(y, v)));
-                    }
-                }
-                for (std::uint32_t i = 2 * pairs; i < insn.arg_count; ++i) {
-                    const std::uint64_t* y = slot_ptr(a[i]);
-                    for (int v = 0; v < NV; ++v) {
-                        acc[v] = _mm256_xor_si256(acc[v], vec(y, v));
-                    }
-                }
-                for (int v = 0; v < NV; ++v) {
-                    store(dst, v, acc[v]);
-                }
-                break;
-            }
-            case Op::Lut: {
-                const std::uint64_t truth = tape.truths[insn.aux];
-                const int k = static_cast<int>(insn.arg_count);
-                if (k == 0) {
-                    const __m256i c = (truth & 1U)
-                                          ? _mm256_set1_epi64x(-1)
-                                          : _mm256_setzero_si256();
-                    for (int v = 0; v < NV; ++v) {
-                        store(dst, v, c);
-                    }
-                    break;
-                }
-                // Shannon mux fold on vector registers: fold fanin 0 straight
-                // out of the truth-table constants, then mux one fanin per
-                // level with lo ^ ((lo ^ hi) & x).
-                __m256i buf[32 * NV];
-                {
-                    const std::uint64_t* xs = slot_ptr(a[0]);
-                    const __m256i ones = _mm256_set1_epi64x(-1);
-                    const int half = 1 << (k - 1);
-                    for (int t = 0; t < half; ++t) {
-                        const bool b0 = (truth >> (2 * t)) & 1U;
-                        const bool b1 = (truth >> (2 * t + 1)) & 1U;
-                        __m256i* e = buf + static_cast<std::size_t>(t) * NV;
-                        for (int v = 0; v < NV; ++v) {
-                            const __m256i x = vec(xs, v);
-                            e[v] = b0 ? (b1 ? ones : _mm256_xor_si256(x, ones))
-                                      : (b1 ? x : _mm256_setzero_si256());
-                        }
-                    }
-                }
-                int entries = 1 << (k - 1);
-                for (int j = 1; j < k; ++j) {
-                    const std::uint64_t* xs = slot_ptr(a[j]);
-                    entries >>= 1;
-                    for (int t = 0; t < entries; ++t) {
-                        const __m256i* lo =
-                            buf + static_cast<std::size_t>(2 * t) * NV;
-                        const __m256i* hi =
-                            buf + static_cast<std::size_t>(2 * t + 1) * NV;
-                        __m256i* e = buf + static_cast<std::size_t>(t) * NV;
-                        for (int v = 0; v < NV; ++v) {
-                            const __m256i x = vec(xs, v);
-                            e[v] = _mm256_xor_si256(
-                                lo[v], _mm256_and_si256(
-                                           _mm256_xor_si256(lo[v], hi[v]), x));
-                        }
-                    }
-                }
-                for (int v = 0; v < NV; ++v) {
-                    store(dst, v, buf[v]);
-                }
-                break;
-            }
-        }
-    }
-
-    for (int o = 0; o < n_out; ++o) {
-        const std::uint64_t* src = slot_ptr(tape.output_slots[o]);
-        for (int w = 0; w < blocks; ++w) {
-            out[static_cast<std::size_t>(w) * n_out + o] = src[w];
-        }
-    }
-}
-
-void run_avx2(const TapeView& tape, const std::uint64_t* in, std::uint64_t* out,
-              std::uint64_t* slots, int blocks) {
-    switch ((blocks + 3) / 4) {
-        case 1: run_tape<1>(tape, in, out, slots, blocks); break;
-        case 2: run_tape<2>(tape, in, out, slots, blocks); break;
-        case 3: run_tape<3>(tape, in, out, slots, blocks); break;
-        case 4: run_tape<4>(tape, in, out, slots, blocks); break;
-        default: break;  // unreachable: Program::run validates blocks
-    }
-}
-
-static_assert(Program::kMaxBlocks == 16,
-              "widen the run_avx2 vector-count switch with kMaxBlocks");
-
-/// Fused sweep oracle, AVX2 rung: the lane-reference schoolbook runs
-/// column-strip-wise — four consecutive partial-product words live in one
-/// YMM accumulator, d[t0+s] = XOR over i of a_i & b[t0+s-i], built from a
-/// zero-padded read-only copy of the B words and stored exactly once per
-/// strip.  Register accumulation avoids the partially-overlapping
-/// store-to-load forwarding stalls of a row-major in-memory accumulate.
-/// Reduction columns and the compare stay scalar; the word values are
-/// identical to the scalar rung — XOR accumulation is order-free — which
-/// is what the guard screen checks.
-///
-/// Both scratch regions are software-pipelined so no load ever lands on a
-/// YMM store still sitting in the store buffer: the operand copy for
-/// block b+1 is written after block b's strips have read the previous
-/// copy, and the scalar column reads of block b-1 run only after block
-/// b's strip stores are issued.
-void oracle_avx2(const SweepOracleView& ov, const std::uint64_t* in,
-                 const std::uint64_t* got, std::uint64_t* diff,
-                 std::uint64_t* dwork, int blocks) {
-    const int m = ov.m;
-    const int dn = 2 * m - 1;
-    if (blocks <= 0) {
-        return;
-    }
-    // dwork layout (>= 8m + 64 words): two bp buffers of m + 8 words each
-    // (4 zero words, the m B words, 4 zero words), then two d buffers of
-    // 2m + 8 words each (dn plus 3 spill words — strip stores are full
-    // YMM); both double-buffered for the one-block pipelines.
-    std::uint64_t* const bpbuf[2] = {dwork, dwork + (m + 8)};
-    std::uint64_t* const dbuf[2] = {dwork + 2 * (m + 8),
-                                    dwork + 2 * (m + 8) + (2 * m + 8)};
-    const __m256i z = _mm256_setzero_si256();
-    const auto copy_bp = [&](const std::uint64_t* b, std::uint64_t* bp) {
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(bp), z);
-        int j = 0;
-        for (; j + 4 <= m; j += 4) {
-            _mm256_storeu_si256(
-                reinterpret_cast<__m256i*>(bp + 4 + j),
-                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j)));
-        }
-        for (; j < m; ++j) {  // scalar tail: never read past b
-            bp[4 + j] = b[j];
-        }
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(bp + 4 + m), z);
-    };
-    const auto reduce = [&](const std::uint64_t* d,
-                            const std::uint64_t* g) noexcept {
-        std::uint64_t any = 0;
-        for (int k = 0; k < m; ++k) {
-            std::uint64_t c = d[k];
-            const std::int32_t lo = ov.red_offsets[k];
-            const std::int32_t hi = ov.red_offsets[k + 1];
-            for (std::int32_t t = lo; t < hi; ++t) {
-                c ^= d[m + static_cast<std::size_t>(ov.red_indices[t])];
-            }
-            any |= c ^ g[k];
-        }
-        return any;
-    };
-    copy_bp(in + m, bpbuf[0]);
-    for (int blk = 0; blk < blocks; ++blk) {
-        const std::uint64_t* a = in + static_cast<std::size_t>(blk) * 2 * m;
-        const std::uint64_t* bp = bpbuf[blk & 1];
-        std::uint64_t* d = dbuf[blk & 1];
-        for (int t0 = 0; t0 < dn; t0 += 4) {
-            __m256i acc = z;
-            const int ilo = t0 - m + 1 > 0 ? t0 - m + 1 : 0;
-            const int ihi = t0 + 3 < m - 1 ? t0 + 3 : m - 1;
-            for (int i = ilo; i <= ihi; ++i) {
-                const __m256i av =
-                    _mm256_set1_epi64x(static_cast<long long>(a[i]));
-                const __m256i bv = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(bp + 4 + t0 - i));
-                acc = _mm256_xor_si256(acc, _mm256_and_si256(av, bv));
-            }
-            _mm256_storeu_si256(reinterpret_cast<__m256i*>(d + t0), acc);
-        }
-        if (blk + 1 < blocks) {
-            copy_bp(in + static_cast<std::size_t>(blk + 1) * 2 * m + m,
-                    bpbuf[(blk + 1) & 1]);
-        }
-        if (blk > 0) {
-            diff[blk - 1] = reduce(dbuf[(blk - 1) & 1],
-                                   got + static_cast<std::size_t>(blk - 1) * m);
-        }
-    }
-    diff[blocks - 1] = reduce(dbuf[(blocks - 1) & 1],
-                              got + static_cast<std::size_t>(blocks - 1) * m);
-}
-
-const TapeKernel kTapeAvx2{Backend::Avx2, /*word_lanes=*/4, &run_avx2,
-                           &oracle_avx2};
+const TapeKernel kTapeAvx2{Backend::Avx2, /*word_lanes=*/4, &run<Ymm>,
+                           &sweep_oracle<Ymm>};
 
 }  // namespace
 

@@ -1,12 +1,14 @@
-// AVX-512 tape executor: blocks processed as 512-bit vectors — eight
-// 64-lane blocks per word-op, at most two ZMM vectors (16 blocks) per slot.
-// Same layout contract as the AVX2 backend with an 8-word stride (so slots
-// start 64-byte aligned), plus VPTERNLOGQ fusion for the accumulate shapes
-// that dominate Mastrovito tapes:
+// AVX-512 tape executor: the shared interpreter and sweep oracle
+// (run_kernels_generic.h) on 512-bit words — eight 64-lane blocks per
+// word-op, at most two ZMM vectors (16 blocks) per slot, with an 8-word
+// stride so slots start 64-byte aligned.  The compiler fuses the
+// accumulate shapes that dominate Mastrovito tapes into VPTERNLOGQ from the
+// plain vector expressions.
 //
-//   imm 0x78 : acc ^ (x & y)   — one op per AND-XOR partial-product pair
-//   imm 0x96 : acc ^ x ^ y     — two XOR leaves per op in XorN folds
-//   imm 0xCA : x ? hi : lo     — the Shannon mux level in one op
+// Intrinsics remain only where the vector extension cannot express the
+// operation: the 8x8 transposes that marshal block-major tape I/O on
+// full-width sweeps, and the register-resident m <= 8 oracle (lane
+// broadcasts, masked XORs, masked reduce-OR).
 //
 // Compiled with -mavx512f only when the toolchain supports it
 // (GFR_EXEC_HAVE_AVX512); selected only when CPUID reports AVX512F and
@@ -15,6 +17,8 @@
 #include "exec/run_kernels.h"
 
 #if defined(GFR_EXEC_HAVE_AVX512)
+
+#include "exec/run_kernels_generic.h"
 
 #include <immintrin.h>
 
@@ -25,11 +29,12 @@ namespace gfr::exec {
 
 namespace {
 
+typedef std::uint64_t Zmm __attribute__((vector_size(64), may_alias));
+static_assert(sizeof(Zmm) == 8 * 8, "vector_size ignored");
+
 /// 8x8 uint64 transpose: c[j] = [r[0][j], r[1][j], ..., r[7][j]].  Three
 /// shuffle stages (64-bit unpack, 128-bit two-source permute, 256-bit lane
-/// shuffle), 24 ops total — the marshalling between the caller's
-/// block-major words and the arena's slot-major vectors without any
-/// strided scalar traffic.
+/// shuffle), 24 ops total.
 inline void transpose8x8(const __m512i r[8], __m512i c[8]) {
     const __m512i iA = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
     const __m512i iB = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
@@ -39,56 +44,34 @@ inline void transpose8x8(const __m512i r[8], __m512i c[8]) {
         t[i + 1] = _mm512_unpackhi_epi64(r[i], r[i + 1]);
     }
     __m512i u[8];
-    u[0] = _mm512_permutex2var_epi64(t[0], iA, t[2]);
-    u[1] = _mm512_permutex2var_epi64(t[1], iA, t[3]);
-    u[2] = _mm512_permutex2var_epi64(t[0], iB, t[2]);
-    u[3] = _mm512_permutex2var_epi64(t[1], iB, t[3]);
-    u[4] = _mm512_permutex2var_epi64(t[4], iA, t[6]);
-    u[5] = _mm512_permutex2var_epi64(t[5], iA, t[7]);
-    u[6] = _mm512_permutex2var_epi64(t[4], iB, t[6]);
-    u[7] = _mm512_permutex2var_epi64(t[5], iB, t[7]);
-    c[0] = _mm512_shuffle_i64x2(u[0], u[4], 0x44);
-    c[1] = _mm512_shuffle_i64x2(u[1], u[5], 0x44);
-    c[2] = _mm512_shuffle_i64x2(u[2], u[6], 0x44);
-    c[3] = _mm512_shuffle_i64x2(u[3], u[7], 0x44);
-    c[4] = _mm512_shuffle_i64x2(u[0], u[4], 0xEE);
-    c[5] = _mm512_shuffle_i64x2(u[1], u[5], 0xEE);
-    c[6] = _mm512_shuffle_i64x2(u[2], u[6], 0xEE);
-    c[7] = _mm512_shuffle_i64x2(u[3], u[7], 0xEE);
+    for (int h = 0; h < 8; h += 4) {
+        u[h] = _mm512_permutex2var_epi64(t[h], iA, t[h + 2]);
+        u[h + 1] = _mm512_permutex2var_epi64(t[h + 1], iA, t[h + 3]);
+        u[h + 2] = _mm512_permutex2var_epi64(t[h], iB, t[h + 2]);
+        u[h + 3] = _mm512_permutex2var_epi64(t[h + 1], iB, t[h + 3]);
+    }
+    for (int j = 0; j < 4; ++j) {
+        c[j] = _mm512_shuffle_i64x2(u[j], u[j + 4], 0x44);
+        c[j + 4] = _mm512_shuffle_i64x2(u[j], u[j + 4], 0xEE);
+    }
 }
 
-/// NV = ZMM vectors per slot = stride / 8, for stride = round_up(blocks, 8).
-template <int NV>
-void run_tape(const TapeView& tape, const std::uint64_t* in, std::uint64_t* out,
-              std::uint64_t* slots, int blocks) {
-    constexpr int kStride = NV * 8;
-    const int n_in = tape.n_inputs;
-    const int n_out = tape.n_outputs;
-
-    const auto slot_ptr = [&](std::uint32_t s) {
-        return slots + static_cast<std::size_t>(s) * kStride;
-    };
-    const auto vec = [](const std::uint64_t* p, int v) {
-        return _mm512_load_si512(reinterpret_cast<const __m512i*>(p) + v);
-    };
-    const auto store = [](std::uint64_t* p, int v, __m512i x) {
-        _mm512_store_si512(reinterpret_cast<__m512i*>(p) + v, x);
-    };
-
-    if (tape.uses_zero_slot) {
-        std::uint64_t* dst = slot_ptr(0);
-        for (int v = 0; v < NV; ++v) {
-            store(dst, v, _mm512_setzero_si512());
-        }
-    }
-    std::size_t l = 0;
-    if (blocks == kStride) {
-        // Full-width sweeps: runs of eight consecutive input indices (the
-        // whole list, for a multiplier tape) go through the 8x8 transpose —
-        // eight row loads per vector instead of 64 strided scalar
-        // load/store pairs, and the arena is written with full vector
-        // stores, so the first tape ops never wide-load over narrow stores
-        // still in the store buffer.
+/// Full-width I/O marshalling through transpose8x8: eight row loads per
+/// vector instead of 64 strided scalar load/store pairs, and the arena is
+/// written with full vector stores, so the first tape ops never wide-load
+/// over narrow stores still in the store buffer.
+struct TransposeIo {
+    /// Runs of eight consecutive input indices (the whole list, for a
+    /// multiplier tape) go through the transpose; a load outside any run
+    /// takes the strided copy.
+    template <int NV>
+    static std::size_t load_inputs(const TapeView& tape, const std::uint64_t* in,
+                                   std::uint64_t* slots) noexcept {
+        const auto n_in = static_cast<std::size_t>(tape.n_inputs);
+        const auto slot = [slots](std::uint32_t s) {
+            return slots + static_cast<std::size_t>(s) * (NV * 8);
+        };
+        std::size_t l = 0;
         while (l + 8 <= tape.n_input_loads) {
             const std::uint32_t i0 = tape.input_loads[l].first;
             bool run = true;
@@ -96,10 +79,9 @@ void run_tape(const TapeView& tape, const std::uint64_t* in, std::uint64_t* out,
                 run = run && tape.input_loads[l + j].first == i0 + j;
             }
             if (!run) {
-                const auto [input_index, slot] = tape.input_loads[l];
-                std::uint64_t* dst = slot_ptr(slot);
-                for (int w = 0; w < kStride; ++w) {
-                    dst[w] = in[static_cast<std::size_t>(w) * n_in + input_index];
+                const auto [input_index, s] = tape.input_loads[l];
+                for (std::size_t w = 0; w < NV * 8; ++w) {
+                    slot(s)[w] = in[w * n_in + input_index];
                 }
                 ++l;
                 continue;
@@ -107,420 +89,163 @@ void run_tape(const TapeView& tape, const std::uint64_t* in, std::uint64_t* out,
             for (int v = 0; v < NV; ++v) {
                 __m512i r[8];
                 for (int b = 0; b < 8; ++b) {
-                    r[b] = _mm512_loadu_si512(
-                        in + static_cast<std::size_t>(v * 8 + b) * n_in + i0);
+                    r[b] = _mm512_loadu_si512(in + (v * 8 + b) * n_in + i0);
                 }
                 __m512i c[8];
                 transpose8x8(r, c);
                 for (std::size_t j = 0; j < 8; ++j) {
-                    store(slot_ptr(tape.input_loads[l + j].second), v, c[j]);
+                    _mm512_store_si512(slot(tape.input_loads[l + j].second) + v * 8,
+                                       c[j]);
                 }
             }
             l += 8;
         }
-    }
-    for (; l < tape.n_input_loads; ++l) {
-        const auto [input_index, slot] = tape.input_loads[l];
-        std::uint64_t* dst = slot_ptr(slot);
-        int w = 0;
-        for (; w < blocks; ++w) {
-            dst[w] = in[static_cast<std::size_t>(w) * n_in + input_index];
-        }
-        for (; w < kStride; ++w) {
-            dst[w] = 0;
-        }
+        return l;
     }
 
-    const std::uint32_t* args = tape.args;
-    for (std::size_t idx = 0; idx < tape.n_insns; ++idx) {
-        const Program::Insn& insn = tape.insns[idx];
-        const std::uint32_t* a = args + insn.arg_begin;
-        std::uint64_t* dst = slot_ptr(insn.dst);
-        switch (insn.op) {
-            case Op::And2: {
-                const std::uint64_t* x = slot_ptr(a[0]);
-                const std::uint64_t* y = slot_ptr(a[1]);
-                for (int v = 0; v < NV; ++v) {
-                    store(dst, v, _mm512_and_si512(vec(x, v), vec(y, v)));
-                }
-                break;
-            }
-            case Op::Xor2: {
-                const std::uint64_t* x = slot_ptr(a[0]);
-                const std::uint64_t* y = slot_ptr(a[1]);
-                for (int v = 0; v < NV; ++v) {
-                    store(dst, v, _mm512_xor_si512(vec(x, v), vec(y, v)));
-                }
-                break;
-            }
-            case Op::XorN: {
-                __m512i acc[NV];
-                const std::uint64_t* x = slot_ptr(a[0]);
-                for (int v = 0; v < NV; ++v) {
-                    acc[v] = vec(x, v);
-                }
-                std::uint32_t i = 1;
-                for (; i + 1 < insn.arg_count; i += 2) {
-                    const std::uint64_t* y = slot_ptr(a[i]);
-                    const std::uint64_t* z = slot_ptr(a[i + 1]);
-                    for (int v = 0; v < NV; ++v) {
-                        acc[v] = _mm512_ternarylogic_epi64(acc[v], vec(y, v),
-                                                           vec(z, v), 0x96);
-                    }
-                }
-                if (i < insn.arg_count) {
-                    const std::uint64_t* y = slot_ptr(a[i]);
-                    for (int v = 0; v < NV; ++v) {
-                        acc[v] = _mm512_xor_si512(acc[v], vec(y, v));
-                    }
-                }
-                for (int v = 0; v < NV; ++v) {
-                    store(dst, v, acc[v]);
-                }
-                break;
-            }
-            case Op::AndXorN: {
-                __m512i acc[NV];
-                for (int v = 0; v < NV; ++v) {
-                    acc[v] = _mm512_setzero_si512();
-                }
-                const std::uint32_t pairs = insn.aux;
-                for (std::uint32_t i = 0; i < pairs; ++i) {
-                    const std::uint64_t* x = slot_ptr(a[2 * i]);
-                    const std::uint64_t* y = slot_ptr(a[2 * i + 1]);
-                    for (int v = 0; v < NV; ++v) {
-                        acc[v] = _mm512_ternarylogic_epi64(acc[v], vec(x, v),
-                                                           vec(y, v), 0x78);
-                    }
-                }
-                std::uint32_t i = 2 * pairs;
-                for (; i + 1 < insn.arg_count; i += 2) {
-                    const std::uint64_t* y = slot_ptr(a[i]);
-                    const std::uint64_t* z = slot_ptr(a[i + 1]);
-                    for (int v = 0; v < NV; ++v) {
-                        acc[v] = _mm512_ternarylogic_epi64(acc[v], vec(y, v),
-                                                           vec(z, v), 0x96);
-                    }
-                }
-                if (i < insn.arg_count) {
-                    const std::uint64_t* y = slot_ptr(a[i]);
-                    for (int v = 0; v < NV; ++v) {
-                        acc[v] = _mm512_xor_si512(acc[v], vec(y, v));
-                    }
-                }
-                for (int v = 0; v < NV; ++v) {
-                    store(dst, v, acc[v]);
-                }
-                break;
-            }
-            case Op::Lut: {
-                const std::uint64_t truth = tape.truths[insn.aux];
-                const int k = static_cast<int>(insn.arg_count);
-                if (k == 0) {
-                    const __m512i c = (truth & 1U)
-                                          ? _mm512_set1_epi64(-1)
-                                          : _mm512_setzero_si512();
-                    for (int v = 0; v < NV; ++v) {
-                        store(dst, v, c);
-                    }
-                    break;
-                }
-                // Shannon mux fold on ZMM registers; each mux level is a
-                // single VPTERNLOGQ (imm 0xCA: x ? hi : lo).
-                __m512i buf[32 * NV];
-                {
-                    const std::uint64_t* xs = slot_ptr(a[0]);
-                    const __m512i ones = _mm512_set1_epi64(-1);
-                    const int half = 1 << (k - 1);
-                    for (int t = 0; t < half; ++t) {
-                        const bool b0 = (truth >> (2 * t)) & 1U;
-                        const bool b1 = (truth >> (2 * t + 1)) & 1U;
-                        __m512i* e = buf + static_cast<std::size_t>(t) * NV;
-                        for (int v = 0; v < NV; ++v) {
-                            const __m512i x = vec(xs, v);
-                            e[v] = b0 ? (b1 ? ones : _mm512_xor_si512(x, ones))
-                                      : (b1 ? x : _mm512_setzero_si512());
-                        }
-                    }
-                }
-                int entries = 1 << (k - 1);
-                for (int j = 1; j < k; ++j) {
-                    const std::uint64_t* xs = slot_ptr(a[j]);
-                    entries >>= 1;
-                    for (int t = 0; t < entries; ++t) {
-                        const __m512i* lo =
-                            buf + static_cast<std::size_t>(2 * t) * NV;
-                        const __m512i* hi =
-                            buf + static_cast<std::size_t>(2 * t + 1) * NV;
-                        __m512i* e = buf + static_cast<std::size_t>(t) * NV;
-                        for (int v = 0; v < NV; ++v) {
-                            const __m512i x = vec(xs, v);
-                            e[v] = _mm512_ternarylogic_epi64(x, hi[v], lo[v],
-                                                             0xCA);
-                        }
-                    }
-                }
-                for (int v = 0; v < NV; ++v) {
-                    store(dst, v, buf[v]);
-                }
-                break;
-            }
-        }
-    }
-
-    int o = 0;
-    if (blocks == kStride) {
-        // The inverse marshalling: eight output slots transpose back to one
-        // 8-word row store per block (the tail beyond the last full eight
-        // outputs stays scalar so the row store never crosses into the
-        // next block's words).
-        for (; o + 8 <= n_out; o += 8) {
+    /// The inverse: eight output slots transpose back to one 8-word row
+    /// store per block (the tail past the last full eight outputs stays
+    /// strided, so a row store never crosses into the next block's words).
+    template <int NV>
+    static int store_outputs(const TapeView& tape, std::uint64_t* out,
+                             const std::uint64_t* slots) noexcept {
+        const auto n_out = static_cast<std::size_t>(tape.n_outputs);
+        int o = 0;
+        for (; o + 8 <= tape.n_outputs; o += 8) {
             for (int v = 0; v < NV; ++v) {
                 __m512i r[8];
                 for (int j = 0; j < 8; ++j) {
-                    r[j] = vec(slot_ptr(tape.output_slots[o + j]), v);
+                    r[j] = _mm512_load_si512(
+                        slots +
+                        static_cast<std::size_t>(tape.output_slots[o + j]) * (NV * 8) +
+                        v * 8);
                 }
                 __m512i c[8];
                 transpose8x8(r, c);
                 for (int b = 0; b < 8; ++b) {
-                    _mm512_storeu_si512(
-                        out + static_cast<std::size_t>(v * 8 + b) * n_out + o,
-                        c[b]);
+                    _mm512_storeu_si512(out + (v * 8 + b) * n_out + o, c[b]);
                 }
             }
         }
+        return o;
     }
-    for (; o < n_out; ++o) {
-        const std::uint64_t* src = slot_ptr(tape.output_slots[o]);
-        for (int w = 0; w < blocks; ++w) {
-            out[static_cast<std::size_t>(w) * n_out + o] = src[w];
+};
+
+/// Fused sweep oracle for m <= 8 — the exhaustive regime (every field with
+/// at most 2^8 elements): dn <= 15, so the whole partial-product vector
+/// lives in two strip accumulators and never touches memory.  The
+/// reduction becomes one masked lane-broadcast XOR per contributing hi word
+/// (kbits[p] = the k-columns position p feeds, inverted once from the
+/// offsets/indices view), and the compare is a masked reduce-OR — the same
+/// OR-of-differences word the scalar rung computes, with no
+/// wide-store/narrow-load traffic at all.  Blocks run in interleaved pairs
+/// (each block's strip and reduction chains are serial, so pairing doubles
+/// the exploitable ILP), and the pair's two operand copies are pipelined
+/// one pair ahead through four copy slots (4(m + 16) <= the 8m + 64
+/// contract).
+void oracle_small(const SweepOracleView& ov, const std::uint64_t* in,
+                  const std::uint64_t* got, std::uint64_t* diff,
+                  std::uint64_t* dwork, int blocks) {
+    const int m = ov.m;
+    const int dn = 2 * m - 1;
+    const __m512i z = _mm512_setzero_si512();
+    const __mmask8 kmask = static_cast<__mmask8>((1U << m) - 1U);
+    // XOR, not OR: a position listed twice in one column cancels in the
+    // scalar rung's XOR chain, so the broadcast mask keeps the parity.
+    __mmask8 kbits[16] = {};
+    for (int k = 0; k < m; ++k) {
+        for (std::int32_t t = ov.red_offsets[k]; t < ov.red_offsets[k + 1]; ++t) {
+            kbits[m + ov.red_indices[t]] ^= static_cast<__mmask8>(1U << k);
         }
     }
-}
-
-void run_avx512(const TapeView& tape, const std::uint64_t* in,
-                std::uint64_t* out, std::uint64_t* slots, int blocks) {
-    switch ((blocks + 7) / 8) {
-        case 1: run_tape<1>(tape, in, out, slots, blocks); break;
-        case 2: run_tape<2>(tape, in, out, slots, blocks); break;
-        default: break;  // unreachable: Program::run validates blocks
+    const auto bp = [&](int blk) { return dwork + (blk & 3) * (m + 16) + 8; };
+    const auto copy_b = [&](int blk) {
+        if (blk < blocks) {
+            copy_padded<Zmm>(in + static_cast<std::size_t>(blk) * 2 * m + m,
+                             bp(blk) - 8, m);
+        }
+    };
+    // The two strip accumulators of N = 1 or 2 consecutive blocks, their
+    // chains interleaved: s = XOR over i of a_i & b[t0-i].
+    const auto strips = [&]<int N>(int blk, __m512i (&acc)[N][2]) {
+        __m512i av[N][8];
+        const std::uint64_t* b[N];
+        for (int n = 0; n < N; ++n) {
+            const std::uint64_t* a = in + static_cast<std::size_t>(blk + n) * 2 * m;
+            for (int i = 0; i < m; ++i) {  // each a_i feeds both strips
+                av[n][i] = _mm512_set1_epi64(static_cast<long long>(a[i]));
+            }
+            b[n] = bp(blk + n);
+        }
+        for (int t0 = 0; t0 < dn; t0 += 8) {
+            __m512i s[N];
+            for (int n = 0; n < N; ++n) {
+                s[n] = z;
+            }
+            const int ihi = t0 + 7 < m - 1 ? t0 + 7 : m - 1;
+            for (int i = t0 - m + 1 > 0 ? t0 - m + 1 : 0; i <= ihi; ++i) {
+                for (int n = 0; n < N; ++n) {
+                    s[n] = _mm512_ternarylogic_epi64(
+                        s[n], av[n][i], _mm512_loadu_si512(b[n] + t0 - i), 0x78);
+                }
+            }
+            for (int n = 0; n < N; ++n) {
+                acc[n][t0 >> 3] = s[n];
+            }
+        }
+    };
+    // Compare via one masked lane-broadcast XOR per contributing hi word;
+    // two alternating accumulators halve the serial chain (XOR merging
+    // them at the end is order-free).
+    const auto reduce = [&](int blk, const __m512i acc[2]) noexcept {
+        __m512i cmp = _mm512_xor_si512(
+            acc[0], _mm512_maskz_loadu_epi64(
+                        kmask, got + static_cast<std::size_t>(blk) * m));
+        __m512i cmp2 = z;
+        for (int p = m; p < dn; ++p) {
+            if (kbits[p] == 0) {
+                continue;
+            }
+            const __m512i bc =
+                _mm512_permutexvar_epi64(_mm512_set1_epi64(p & 7), acc[p >> 3]);
+            if ((p ^ m) & 1) {
+                cmp2 = _mm512_mask_xor_epi64(cmp2, kbits[p], cmp2, bc);
+            } else {
+                cmp = _mm512_mask_xor_epi64(cmp, kbits[p], cmp, bc);
+            }
+        }
+        return _mm512_mask_reduce_or_epi64(kmask, _mm512_xor_si512(cmp, cmp2));
+    };
+    copy_b(0);
+    copy_b(1);
+    int blk = 0;
+    for (; blk + 1 < blocks; blk += 2) {
+        __m512i acc[2][2] = {{z, z}, {z, z}};
+        strips(blk, acc);
+        copy_b(blk + 2);
+        copy_b(blk + 3);
+        diff[blk] = reduce(blk, acc[0]);
+        diff[blk + 1] = reduce(blk + 1, acc[1]);
+    }
+    if (blk < blocks) {  // odd tail
+        __m512i acc[1][2] = {{z, z}};
+        strips(blk, acc);
+        diff[blk] = reduce(blk, acc[0]);
     }
 }
 
-static_assert(Program::kMaxBlocks == 16,
-              "widen the run_avx512 vector-count switch with kMaxBlocks");
-
-/// Fused sweep oracle, AVX-512 rung: the lane-reference schoolbook runs
-/// column-strip-wise — eight consecutive partial-product words live in one
-/// ZMM accumulator, d[t0+s] = XOR over i of a_i & b[t0+s-i], built as one
-/// VPTERNLOGQ (imm 0x78) per contributing i from a zero-padded read-only
-/// copy of the B words and stored exactly once per strip.  Keeping the
-/// accumulator in a register and loading only from the padded copy avoids
-/// the partially-overlapping store-to-load forwarding stalls a row-major
-/// in-memory accumulate would pay on every iteration.  The reduction
-/// columns and the compare stay scalar (their supports are short and
-/// ragged); the word *values* are identical to the scalar rung — XOR
-/// accumulation is order-free — which is what the guard screen checks.
-///
-/// Both scratch regions are software-pipelined so no load ever lands on a
-/// ZMM store still sitting in the store buffer (wide-store -> narrow-load
-/// and straddling-load forwarding stalls cost more than the strips
-/// themselves at small m): the operand copy for block b+1 is written
-/// after block b's strips have read the previous copy, and the scalar
-/// column reads of block b-1 run only after block b's strip stores are
-/// issued.
 void oracle_avx512(const SweepOracleView& ov, const std::uint64_t* in,
                    const std::uint64_t* got, std::uint64_t* diff,
                    std::uint64_t* dwork, int blocks) {
-    const int m = ov.m;
-    const int dn = 2 * m - 1;
-    if (blocks <= 0) {
-        return;
+    if (ov.m <= 8) {
+        oracle_small(ov, in, got, diff, dwork, blocks);
+    } else {
+        sweep_oracle<Zmm>(ov, in, got, diff, dwork, blocks);
     }
-    // dwork layout (>= 8m + 64 words): bp buffers of m + 16 words each
-    // (8 zero words, the m B words, 8 zero words) — two for the general
-    // path below, four when the small-m path re-slices the same region for
-    // its pair pipeline — then two d buffers of 2m + 8 words each (dn plus
-    // 7 spill words — strip stores are full ZMM), double-buffered for the
-    // one-block pipelines.
-    std::uint64_t* const bpbuf[2] = {dwork, dwork + (m + 16)};
-    std::uint64_t* const dbuf[2] = {dwork + 2 * (m + 16),
-                                    dwork + 2 * (m + 16) + (2 * m + 8)};
-    const __m512i z = _mm512_setzero_si512();
-    const auto copy_bp = [&](const std::uint64_t* b, std::uint64_t* bp) {
-        _mm512_storeu_si512(bp, z);
-        int j = 0;
-        for (; j + 8 <= m; j += 8) {
-            _mm512_storeu_si512(bp + 8 + j, _mm512_loadu_si512(b + j));
-        }
-        for (; j < m; ++j) {  // scalar tail: never read past b
-            bp[8 + j] = b[j];
-        }
-        _mm512_storeu_si512(bp + 8 + m, z);
-    };
-    const auto reduce = [&](const std::uint64_t* d,
-                            const std::uint64_t* g) noexcept {
-        std::uint64_t any = 0;
-        for (int k = 0; k < m; ++k) {
-            std::uint64_t c = d[k];
-            const std::int32_t lo = ov.red_offsets[k];
-            const std::int32_t hi = ov.red_offsets[k + 1];
-            for (std::int32_t t = lo; t < hi; ++t) {
-                c ^= d[m + static_cast<std::size_t>(ov.red_indices[t])];
-            }
-            any |= c ^ g[k];
-        }
-        return any;
-    };
-    copy_bp(in + m, bpbuf[0]);
-    // Small-m fast path — the exhaustive regime (every field with at most
-    // 2^8 elements): dn <= 15, so the whole partial-product vector lives in
-    // two strip accumulators and never touches memory.  The reduction
-    // becomes one masked lane-broadcast XOR per contributing hi word
-    // (kbits[p] = the k-columns position p feeds, inverted once from the
-    // offsets/indices view), and the compare is a masked reduce-OR — the
-    // same OR-of-differences word the scalar rung computes, with no
-    // wide-store/narrow-load traffic at all.
-    if (m <= 8) {
-        const __mmask8 kmask = static_cast<__mmask8>((1U << m) - 1U);
-        // XOR, not OR: a position listed twice in one column cancels in the
-        // scalar rung's XOR chain, so the broadcast mask keeps the parity.
-        __mmask8 kbits[16] = {};
-        for (int k = 0; k < m; ++k) {
-            for (std::int32_t t = ov.red_offsets[k]; t < ov.red_offsets[k + 1];
-                 ++t) {
-                kbits[m + ov.red_indices[t]] ^=
-                    static_cast<__mmask8>(1U << k);
-            }
-        }
-        // Four bp slots (4(m+16) <= the 8m+64 contract at m <= 8): blocks
-        // run in interleaved pairs — each block's strip and reduction
-        // chains are serial (the whole point of this path is staying in
-        // registers), so pairing doubles the exploitable ILP — and the
-        // pair's two operand copies are pipelined one pair ahead.
-        std::uint64_t* const bp4[4] = {dwork, dwork + (m + 16),
-                                       dwork + 2 * (m + 16),
-                                       dwork + 3 * (m + 16)};
-        const auto load_av = [&](const std::uint64_t* a, __m512i av[8]) {
-            for (int i = 0; i < m; ++i) {  // each a_i feeds both strips
-                av[i] = _mm512_set1_epi64(static_cast<long long>(a[i]));
-            }
-        };
-        // Compare via one masked lane-broadcast XOR per contributing hi
-        // word; two alternating accumulators halve the serial chain (XOR
-        // merging them at the end is order-free).
-        const auto reduce_acc = [&](const __m512i acc[2],
-                                    const std::uint64_t* g) noexcept {
-            __m512i cmp = _mm512_xor_si512(
-                acc[0], _mm512_maskz_loadu_epi64(kmask, g));
-            __m512i cmp2 = z;
-            for (int p = m; p < dn; ++p) {
-                if (kbits[p] == 0) {
-                    continue;
-                }
-                const __m512i bc = _mm512_permutexvar_epi64(
-                    _mm512_set1_epi64(p & 7), acc[p >> 3]);
-                if ((p ^ m) & 1) {
-                    cmp2 = _mm512_mask_xor_epi64(cmp2, kbits[p], cmp2, bc);
-                } else {
-                    cmp = _mm512_mask_xor_epi64(cmp, kbits[p], cmp, bc);
-                }
-            }
-            return _mm512_mask_reduce_or_epi64(kmask,
-                                               _mm512_xor_si512(cmp, cmp2));
-        };
-        if (blocks > 1) {
-            copy_bp(in + 2 * m + m, bp4[1]);
-        }
-        int blk = 0;
-        for (; blk + 1 < blocks; blk += 2) {
-            const std::uint64_t* a0 =
-                in + static_cast<std::size_t>(blk) * 2 * m;
-            const std::uint64_t* a1 = a0 + 2 * m;
-            const std::uint64_t* bp0 = bp4[blk & 3];
-            const std::uint64_t* bp1 = bp4[(blk + 1) & 3];
-            __m512i av0[8];
-            __m512i av1[8];
-            load_av(a0, av0);
-            load_av(a1, av1);
-            __m512i acc0[2] = {z, z};
-            __m512i acc1[2] = {z, z};
-            for (int t0 = 0; t0 < dn; t0 += 8) {
-                __m512i s0 = z;
-                __m512i s1 = z;
-                const int ilo = t0 - m + 1 > 0 ? t0 - m + 1 : 0;
-                const int ihi = t0 + 7 < m - 1 ? t0 + 7 : m - 1;
-                for (int i = ilo; i <= ihi; ++i) {
-                    s0 = _mm512_ternarylogic_epi64(
-                        s0, av0[i], _mm512_loadu_si512(bp0 + 8 + t0 - i), 0x78);
-                    s1 = _mm512_ternarylogic_epi64(
-                        s1, av1[i], _mm512_loadu_si512(bp1 + 8 + t0 - i), 0x78);
-                }
-                acc0[t0 >> 3] = s0;
-                acc1[t0 >> 3] = s1;
-            }
-            if (blk + 2 < blocks) {
-                copy_bp(in + static_cast<std::size_t>(blk + 2) * 2 * m + m,
-                        bp4[(blk + 2) & 3]);
-            }
-            if (blk + 3 < blocks) {
-                copy_bp(in + static_cast<std::size_t>(blk + 3) * 2 * m + m,
-                        bp4[(blk + 3) & 3]);
-            }
-            diff[blk] = reduce_acc(acc0, got + static_cast<std::size_t>(blk) * m);
-            diff[blk + 1] =
-                reduce_acc(acc1, got + static_cast<std::size_t>(blk + 1) * m);
-        }
-        if (blk < blocks) {  // odd tail
-            const std::uint64_t* a = in + static_cast<std::size_t>(blk) * 2 * m;
-            const std::uint64_t* bp = bp4[blk & 3];
-            __m512i av[8];
-            load_av(a, av);
-            __m512i acc[2] = {z, z};
-            for (int t0 = 0; t0 < dn; t0 += 8) {
-                __m512i s = z;
-                const int ilo = t0 - m + 1 > 0 ? t0 - m + 1 : 0;
-                const int ihi = t0 + 7 < m - 1 ? t0 + 7 : m - 1;
-                for (int i = ilo; i <= ihi; ++i) {
-                    s = _mm512_ternarylogic_epi64(
-                        s, av[i], _mm512_loadu_si512(bp + 8 + t0 - i), 0x78);
-                }
-                acc[t0 >> 3] = s;
-            }
-            diff[blk] = reduce_acc(acc, got + static_cast<std::size_t>(blk) * m);
-        }
-        return;
-    }
-    for (int blk = 0; blk < blocks; ++blk) {
-        const std::uint64_t* a = in + static_cast<std::size_t>(blk) * 2 * m;
-        const std::uint64_t* bp = bpbuf[blk & 1];
-        std::uint64_t* d = dbuf[blk & 1];
-        for (int t0 = 0; t0 < dn; t0 += 8) {
-            __m512i acc = z;
-            const int ilo = t0 - m + 1 > 0 ? t0 - m + 1 : 0;
-            const int ihi = t0 + 7 < m - 1 ? t0 + 7 : m - 1;
-            for (int i = ilo; i <= ihi; ++i) {
-                const __m512i av = _mm512_set1_epi64(static_cast<long long>(a[i]));
-                const __m512i bv = _mm512_loadu_si512(bp + 8 + t0 - i);
-                acc = _mm512_ternarylogic_epi64(acc, av, bv, 0x78);
-            }
-            _mm512_storeu_si512(d + t0, acc);
-        }
-        if (blk + 1 < blocks) {
-            copy_bp(in + static_cast<std::size_t>(blk + 1) * 2 * m + m,
-                    bpbuf[(blk + 1) & 1]);
-        }
-        if (blk > 0) {
-            diff[blk - 1] = reduce(dbuf[(blk - 1) & 1],
-                                   got + static_cast<std::size_t>(blk - 1) * m);
-        }
-    }
-    diff[blocks - 1] = reduce(dbuf[(blocks - 1) & 1],
-                              got + static_cast<std::size_t>(blocks - 1) * m);
 }
 
-const TapeKernel kTapeAvx512{Backend::Avx512, /*word_lanes=*/8, &run_avx512,
-                             &oracle_avx512};
+const TapeKernel kTapeAvx512{Backend::Avx512, /*word_lanes=*/8,
+                             &run<Zmm, TransposeIo>, &oracle_avx512};
 
 }  // namespace
 

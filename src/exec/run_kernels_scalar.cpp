@@ -1,10 +1,10 @@
 // Portable scalar tape executor — the reference rung of the exec backend
-// ladder, and bit-for-bit the PR-4 `Program::run_impl` loop (templated over
-// the block count so the compiler still unrolls the per-word loops).  Every
-// vector backend is screened against this executor by the guard tier, and
-// the frozen PR-5 bench baseline is this kernel at the PR-5 block widths.
+// ladder: the shared interpreter (run_kernels_generic.h) on plain u64 words,
+// one word per block, so the slot stride is exactly the block count.  Every
+// vector backend is screened against this rung by the guard tier, and the
+// differential tests anchor it to netlist::simulate_interpreted.
 
-#include "exec/run_kernels.h"
+#include "exec/run_kernels_generic.h"
 
 #include <cstddef>
 #include <cstdint>
@@ -12,178 +12,6 @@
 namespace gfr::exec {
 
 namespace {
-
-template <int B>
-void run_tape(const TapeView& tape, const std::uint64_t* in, std::uint64_t* out,
-              std::uint64_t* slots) {
-    const int n_in = tape.n_inputs;
-    const int n_out = tape.n_outputs;
-    if (tape.uses_zero_slot) {
-        for (int w = 0; w < B; ++w) {
-            slots[w] = 0;
-        }
-    }
-    for (std::size_t l = 0; l < tape.n_input_loads; ++l) {
-        const auto [input_index, slot] = tape.input_loads[l];
-        std::uint64_t* dst = slots + static_cast<std::size_t>(slot) * B;
-        for (int w = 0; w < B; ++w) {
-            dst[w] = in[static_cast<std::size_t>(w) * n_in + input_index];
-        }
-    }
-
-    const std::uint32_t* args = tape.args;
-    for (std::size_t idx = 0; idx < tape.n_insns; ++idx) {
-        const Program::Insn& insn = tape.insns[idx];
-        const std::uint32_t* a = args + insn.arg_begin;
-        std::uint64_t* dst = slots + static_cast<std::size_t>(insn.dst) * B;
-        switch (insn.op) {
-            case Op::And2: {
-                const std::uint64_t* x = slots + static_cast<std::size_t>(a[0]) * B;
-                const std::uint64_t* y = slots + static_cast<std::size_t>(a[1]) * B;
-                for (int w = 0; w < B; ++w) {
-                    dst[w] = x[w] & y[w];
-                }
-                break;
-            }
-            case Op::Xor2: {
-                const std::uint64_t* x = slots + static_cast<std::size_t>(a[0]) * B;
-                const std::uint64_t* y = slots + static_cast<std::size_t>(a[1]) * B;
-                for (int w = 0; w < B; ++w) {
-                    dst[w] = x[w] ^ y[w];
-                }
-                break;
-            }
-            case Op::XorN: {
-                std::uint64_t acc[B];
-                const std::uint64_t* x = slots + static_cast<std::size_t>(a[0]) * B;
-                for (int w = 0; w < B; ++w) {
-                    acc[w] = x[w];
-                }
-                for (std::uint32_t i = 1; i < insn.arg_count; ++i) {
-                    const std::uint64_t* y =
-                        slots + static_cast<std::size_t>(a[i]) * B;
-                    for (int w = 0; w < B; ++w) {
-                        acc[w] ^= y[w];
-                    }
-                }
-                for (int w = 0; w < B; ++w) {
-                    dst[w] = acc[w];
-                }
-                break;
-            }
-            case Op::AndXorN: {
-                std::uint64_t acc[B];
-                for (int w = 0; w < B; ++w) {
-                    acc[w] = 0;
-                }
-                const std::uint32_t pairs = insn.aux;
-                for (std::uint32_t i = 0; i < pairs; ++i) {
-                    const std::uint64_t* x =
-                        slots + static_cast<std::size_t>(a[2 * i]) * B;
-                    const std::uint64_t* y =
-                        slots + static_cast<std::size_t>(a[2 * i + 1]) * B;
-                    for (int w = 0; w < B; ++w) {
-                        acc[w] ^= x[w] & y[w];
-                    }
-                }
-                for (std::uint32_t i = 2 * pairs; i < insn.arg_count; ++i) {
-                    const std::uint64_t* y =
-                        slots + static_cast<std::size_t>(a[i]) * B;
-                    for (int w = 0; w < B; ++w) {
-                        acc[w] ^= y[w];
-                    }
-                }
-                for (int w = 0; w < B; ++w) {
-                    dst[w] = acc[w];
-                }
-                break;
-            }
-            case Op::Lut: {
-                const std::uint64_t truth = tape.truths[insn.aux];
-                const int k = static_cast<int>(insn.arg_count);
-                if (k == 0) {
-                    const std::uint64_t v = (truth & 1U) ? ~std::uint64_t{0} : 0;
-                    for (int w = 0; w < B; ++w) {
-                        dst[w] = v;
-                    }
-                    break;
-                }
-                // Shannon mux fold, bitsliced: fold fanin 0 straight out of
-                // the truth-table constants, then mux one fanin per level.
-                // No per-lane work anywhere.
-                std::uint64_t buf[32 * B];
-                {
-                    const std::uint64_t* x =
-                        slots + static_cast<std::size_t>(a[0]) * B;
-                    const int half = 1 << (k - 1);
-                    for (int t = 0; t < half; ++t) {
-                        const bool b0 = (truth >> (2 * t)) & 1U;
-                        const bool b1 = (truth >> (2 * t + 1)) & 1U;
-                        std::uint64_t* e = buf + static_cast<std::size_t>(t) * B;
-                        for (int w = 0; w < B; ++w) {
-                            e[w] = b0 ? (b1 ? ~std::uint64_t{0} : ~x[w])
-                                      : (b1 ? x[w] : 0);
-                        }
-                    }
-                }
-                int entries = 1 << (k - 1);
-                for (int j = 1; j < k; ++j) {
-                    const std::uint64_t* x =
-                        slots + static_cast<std::size_t>(a[j]) * B;
-                    entries >>= 1;
-                    for (int t = 0; t < entries; ++t) {
-                        const std::uint64_t* lo =
-                            buf + static_cast<std::size_t>(2 * t) * B;
-                        const std::uint64_t* hi =
-                            buf + static_cast<std::size_t>(2 * t + 1) * B;
-                        std::uint64_t* e = buf + static_cast<std::size_t>(t) * B;
-                        for (int w = 0; w < B; ++w) {
-                            e[w] = (lo[w] & ~x[w]) | (hi[w] & x[w]);
-                        }
-                    }
-                }
-                for (int w = 0; w < B; ++w) {
-                    dst[w] = buf[w];
-                }
-                break;
-            }
-        }
-    }
-
-    for (int o = 0; o < n_out; ++o) {
-        const std::uint64_t* src =
-            slots + static_cast<std::size_t>(tape.output_slots[o]) * B;
-        for (int w = 0; w < B; ++w) {
-            out[static_cast<std::size_t>(w) * n_out + o] = src[w];
-        }
-    }
-}
-
-void run_scalar(const TapeView& tape, const std::uint64_t* in,
-                std::uint64_t* out, std::uint64_t* slots, int blocks) {
-    switch (blocks) {
-        case 1: run_tape<1>(tape, in, out, slots); break;
-        case 2: run_tape<2>(tape, in, out, slots); break;
-        case 3: run_tape<3>(tape, in, out, slots); break;
-        case 4: run_tape<4>(tape, in, out, slots); break;
-        case 5: run_tape<5>(tape, in, out, slots); break;
-        case 6: run_tape<6>(tape, in, out, slots); break;
-        case 7: run_tape<7>(tape, in, out, slots); break;
-        case 8: run_tape<8>(tape, in, out, slots); break;
-        case 9: run_tape<9>(tape, in, out, slots); break;
-        case 10: run_tape<10>(tape, in, out, slots); break;
-        case 11: run_tape<11>(tape, in, out, slots); break;
-        case 12: run_tape<12>(tape, in, out, slots); break;
-        case 13: run_tape<13>(tape, in, out, slots); break;
-        case 14: run_tape<14>(tape, in, out, slots); break;
-        case 15: run_tape<15>(tape, in, out, slots); break;
-        case 16: run_tape<16>(tape, in, out, slots); break;
-        default: break;  // unreachable: Program::run validates blocks
-    }
-}
-
-static_assert(Program::kMaxBlocks == 16,
-              "widen the run_scalar block switch with kMaxBlocks");
 
 /// Fused sweep oracle, scalar rung: bit-for-bit the word-op sequence of
 /// verify::LaneReference::products followed by the m-word compare, per
@@ -228,7 +56,7 @@ void oracle_scalar(const SweepOracleView& ov, const std::uint64_t* in,
 
 }  // namespace
 
-const TapeKernel kTapeScalar{Backend::Scalar, /*word_lanes=*/1, &run_scalar,
-                             &oracle_scalar};
+const TapeKernel kTapeScalar{Backend::Scalar, /*word_lanes=*/1,
+                             &run<std::uint64_t>, &oracle_scalar};
 
 }  // namespace gfr::exec

@@ -47,34 +47,26 @@ std::string VerifyFailure::to_string() const {
 
 namespace {
 
-/// Fill `out` with the field element carried by `lane` across m input words
-/// starting at `offset`, reusing the scratch word buffer.
-void element_from_lane_into(std::span<const std::uint64_t> words, int offset, int m,
-                            int lane, std::vector<std::uint64_t>& bits, Poly& out) {
-    bits.assign(static_cast<std::size_t>((m + 63) / 64), 0);
+/// The field element carried by `lane` across m input words starting at
+/// `offset` (failure reporting and anchoring, off the hot path).
+Poly element_from_lane(std::span<const std::uint64_t> words, int offset, int m,
+                       int lane) {
+    std::vector<std::uint64_t> bits(static_cast<std::size_t>((m + 63) / 64), 0);
     for (int i = 0; i < m; ++i) {
         if ((words[static_cast<std::size_t>(offset + i)] >> lane) & 1U) {
             bits[static_cast<std::size_t>(i / 64)] |= std::uint64_t{1} << (i % 64);
         }
     }
-    out.assign_words(bits);
-}
-
-/// One-shot variant for failure reporting (off the hot path).
-Poly element_from_lane(std::span<const std::uint64_t> words, int offset, int m,
-                       int lane) {
-    std::vector<std::uint64_t> bits;
     Poly out;
-    element_from_lane_into(words, offset, m, lane, bits, out);
+    out.assign_words(bits);
     return out;
 }
 
 /// Everything one campaign worker owns: execution scratch for the shared
 /// compiled tape, the sweep's input/output words (sized for up to `blocks`
-/// blocks of 64 lanes), the lane-reference scratch, and the element storage
-/// plus engine scratch for the per-lane fallback regime.  The Program,
-/// Field and LaneReference stay shared and immutable; workers never
-/// contend, and sweeps are allocation-free in steady state.
+/// blocks of 64 lanes), and the oracle and lane-reference scratch.  The
+/// Program, Field and LaneReference stay shared and immutable; workers
+/// never contend, and sweeps are allocation-free in steady state.
 struct SweepWorker {
     SweepWorker(int m, int blocks)
         : in_words(static_cast<std::size_t>(2 * m) * blocks, 0),
@@ -89,93 +81,49 @@ struct SweepWorker {
     std::vector<std::uint64_t> oracle_diff;     // per-block diff flags
     std::vector<std::uint64_t> oracle_work;     // >= 8m+64 kernel scratch words
     verify::LaneReference::Scratch lane_scratch;
-    std::vector<std::uint64_t> lane_bits;       // per-lane element extraction
-    std::vector<std::uint64_t> got_bits;        // per-lane netlist gather
-    Poly a_elem;
-    Poly b_elem;
-    Poly product;
-    field::FieldOps::Scratch ops_scratch;  // engine working buffers
 };
 
-/// Check one 64-lane block already simulated into out/in spans.  laneref is
-/// non-null when the lane-major oracle covers this field.  The failure
-/// reported is the lane-major first one (lowest lane, then lowest
-/// coefficient), matching a bit-serial scan of the 64 assignments.
-std::optional<VerifyFailure> check_block(SweepWorker& w, const Field& field,
-                                         const verify::LaneReference* laneref,
+/// Check one 64-lane block already simulated into out/in spans against the
+/// bitsliced reference: all 64 products in m^2 word ops, already lane-major,
+/// for any word count.  The failure reported is the lane-major first one
+/// (lowest lane, then lowest coefficient), matching a bit-serial scan of the
+/// 64 assignments.
+std::optional<VerifyFailure> check_block(SweepWorker& w, int m,
+                                         const verify::LaneReference& laneref,
                                          std::span<const std::uint64_t> in,
                                          std::span<const std::uint64_t> out) {
-    const int m = field.degree();
-
-    if (laneref != nullptr) {
-        // Bitsliced reference: all 64 products in m^2 word ops, already
-        // lane-major — the success path is m XOR-compares, for any word
-        // count (the oracle is lane-major, so multi-word fields compare
-        // exactly the same way).
-        laneref->products(in, w.want_words, w.lane_scratch);
-        std::uint64_t diff_any = 0;
-        for (int k = 0; k < m; ++k) {
-            diff_any |= out[static_cast<std::size_t>(k)] ^
-                        w.want_words[static_cast<std::size_t>(k)];
-        }
-        if (diff_any == 0) {
-            return std::nullopt;
-        }
-        const int lane = std::countr_zero(diff_any);
-        for (int k = 0; k < m; ++k) {
-            const bool got_bit = (out[static_cast<std::size_t>(k)] >> lane) & 1U;
-            const bool want_bit =
-                (w.want_words[static_cast<std::size_t>(k)] >> lane) & 1U;
-            if (got_bit != want_bit) {
-                return VerifyFailure{element_from_lane(in, 0, m, lane),
-                                     element_from_lane(in, m, m, lane), k,
-                                     got_bit, want_bit};
-            }
-        }
-        return std::nullopt;  // unreachable: diff_any had a set bit
+    laneref.products(in, w.want_words, w.lane_scratch);
+    std::uint64_t diff_any = 0;
+    for (int k = 0; k < m; ++k) {
+        diff_any |= out[static_cast<std::size_t>(k)] ^
+                    w.want_words[static_cast<std::size_t>(k)];
     }
-
-    // Engine fallback (m beyond the lane oracle): per lane, one batched
-    // engine product (FieldOps::mul through the worker's scratch) and a
-    // word-level compare of the gathered netlist output.
-    const std::size_t wn = static_cast<std::size_t>((m + 63) / 64);
-    for (int lane = 0; lane < 64; ++lane) {
-        element_from_lane_into(in, 0, m, lane, w.lane_bits, w.a_elem);
-        element_from_lane_into(in, m, m, lane, w.lane_bits, w.b_elem);
-        field.ops().mul(w.a_elem, w.b_elem, w.product, w.ops_scratch);
-        w.got_bits.assign(wn, 0);
-        for (int k = 0; k < m; ++k) {
-            if ((out[static_cast<std::size_t>(k)] >> lane) & 1U) {
-                w.got_bits[static_cast<std::size_t>(k / 64)] |= std::uint64_t{1}
-                                                                << (k % 64);
-            }
-        }
-        const auto pw = w.product.words();
-        for (std::size_t word = 0; word < wn; ++word) {
-            const std::uint64_t want_w = word < pw.size() ? pw[word] : 0;
-            const std::uint64_t diff = w.got_bits[word] ^ want_w;
-            if (diff == 0) {
-                continue;
-            }
-            const int k = static_cast<int>(word) * 64 + std::countr_zero(diff);
-            const bool got_bit = (w.got_bits[word] >> (k % 64)) & 1U;
-            return VerifyFailure{w.a_elem, w.b_elem, k, got_bit, !got_bit};
+    if (diff_any == 0) {
+        return std::nullopt;
+    }
+    const int lane = std::countr_zero(diff_any);
+    for (int k = 0; k < m; ++k) {
+        const bool got_bit = (out[static_cast<std::size_t>(k)] >> lane) & 1U;
+        const bool want_bit =
+            (w.want_words[static_cast<std::size_t>(k)] >> lane) & 1U;
+        if (got_bit != want_bit) {
+            return VerifyFailure{element_from_lane(in, 0, m, lane),
+                                 element_from_lane(in, m, m, lane), k, got_bit,
+                                 want_bit};
         }
     }
-    return std::nullopt;
+    return std::nullopt;  // unreachable: diff_any had a set bit
 }
 
 /// Everything check_sweep needs beyond the worker: the shared tape, the
-/// oracle selection (fused kernel + reduction view when the lane oracle
-/// covers the field), and the backend pin.  Built once per campaign.
+/// lane reference, the fused oracle with its reduction view, and the backend
+/// pin.  Built once per campaign.
 struct SweepPlan {
     const exec::Program* prog = nullptr;
     const Field* field = nullptr;
     const verify::LaneReference* laneref = nullptr;
     /// Fused sweep oracle of the same backend rung as the tape executor
-    /// (scalar when forced or quarantined); only set when laneref is and
-    /// VerifyOptions::fused_sweep_oracle is on — null falls back to the
-    /// pre-PR-9 per-block check loop below.
+    /// (scalar when forced or quarantined).
     exec::OracleRunFn oracle_fn = nullptr;
     exec::SweepOracleView oracle_view;
     std::optional<exec::Backend> backend;
@@ -186,9 +134,7 @@ struct SweepPlan {
 /// first).  The success path is one fused oracle call over the whole sweep
 /// (per-block diff flags); a flagged block is re-extracted through the
 /// scalar LaneReference in check_block, which stays the verdict authority —
-/// block order and the lane-major first-failure rule are untouched.  With
-/// the fused oracle off (plan.oracle_fn null), every block goes through
-/// check_block directly — the pre-PR-9 configuration.  On
+/// block order and the lane-major first-failure rule are untouched.  On
 /// failure *failed_block is the in-sweep block index, letting the caller
 /// report width-1 coordinates.
 std::optional<VerifyFailure> check_sweep(SweepWorker& w, const SweepPlan& plan,
@@ -203,35 +149,22 @@ std::optional<VerifyFailure> check_sweep(SweepWorker& w, const SweepPlan& plan,
     } else {
         plan.prog->run(in, out, w.exec_scratch, blocks);
     }
-    if (plan.laneref != nullptr && plan.oracle_fn != nullptr) {
-        plan.oracle_fn(plan.oracle_view, w.in_words.data(), w.out_words.data(),
-                       w.oracle_diff.data(), w.oracle_work.data(), blocks);
-        for (int b = 0; b < blocks; ++b) {
-            if (w.oracle_diff[static_cast<std::size_t>(b)] == 0) {
-                continue;
-            }
-            auto failure = check_block(
-                w, field, plan.laneref,
-                std::span{w.in_words}.subspan(b * n_in, n_in),
-                std::span{w.out_words}.subspan(b * n_out, n_out));
-            if (failure.has_value()) {
-                *failed_block = b;
-                return failure;
-            }
-            // The scalar re-check found nothing: a conservative vector
-            // flag never fails a verdict — keep scanning.
-        }
-        return std::nullopt;
-    }
+    plan.oracle_fn(plan.oracle_view, w.in_words.data(), w.out_words.data(),
+                   w.oracle_diff.data(), w.oracle_work.data(), blocks);
     for (int b = 0; b < blocks; ++b) {
+        if (w.oracle_diff[static_cast<std::size_t>(b)] == 0) {
+            continue;
+        }
         auto failure = check_block(
-            w, field, plan.laneref,
+            w, field.degree(), *plan.laneref,
             std::span{w.in_words}.subspan(b * n_in, n_in),
             std::span{w.out_words}.subspan(b * n_out, n_out));
         if (failure.has_value()) {
             *failed_block = b;
             return failure;
         }
+        // The scalar re-check found nothing: a conservative vector flag
+        // never fails a verdict — keep scanning.
     }
     return std::nullopt;
 }
@@ -325,14 +258,13 @@ MultiplierVerifier::MultiplierVerifier(const netlist::Netlist& nl,
         }
     }
 
-    // Fields up to the lane-oracle threshold use the bitsliced lane
-    // reference as the sweep oracle; anchor it against the engine on one
-    // sweep of random lanes before trusting it with the campaign.  The
-    // anchor extracts each lane as a Poly, so it covers the multi-word
-    // regime identically.
+    // The bitsliced lane reference is the sweep oracle; anchor it against
+    // the engine on one sweep of random lanes before trusting it with the
+    // campaign.  The anchor extracts each lane as a Poly, so it covers the
+    // multi-word regime identically.
     std::unique_ptr<verify::LaneReference>& laneref = impl_->laneref;
-    if (m <= options.lane_oracle_max_degree) {
-        laneref = std::make_unique<verify::LaneReference>(field);
+    laneref = std::make_unique<verify::LaneReference>(field);
+    {
         verify::SweepRng rng{verify::Campaign::derive_sweep_seed(options.seed,
                                                                 verify::kNoFailure)};
         std::vector<std::uint64_t> in(static_cast<std::size_t>(2 * m));
@@ -369,21 +301,17 @@ MultiplierVerifier::MultiplierVerifier(const netlist::Netlist& nl,
     plan.field = &field;
     plan.laneref = laneref.get();
     plan.backend = options.exec_backend;
-    if (laneref != nullptr && options.fused_sweep_oracle) {
-        plan.oracle_fn = exec::kTapeScalar.oracle;
-        if (options.exec_backend.has_value()) {
-            if (const exec::TapeKernel* k =
-                    exec::tape_kernel(*options.exec_backend);
-                k != nullptr && k->oracle != nullptr) {
-                plan.oracle_fn = k->oracle;
-            }
-        } else {
-            plan.oracle_fn = exec::dispatch().kernel->oracle;
+    plan.oracle_fn = exec::kTapeScalar.oracle;
+    if (options.exec_backend.has_value()) {
+        if (const exec::TapeKernel* k = exec::tape_kernel(*options.exec_backend);
+            k != nullptr && k->oracle != nullptr) {
+            plan.oracle_fn = k->oracle;
         }
-        plan.oracle_view =
-            exec::SweepOracleView{laneref->reduction_indices().data(),
-                                  laneref->reduction_offsets().data(), m};
+    } else {
+        plan.oracle_fn = exec::dispatch().kernel->oracle;
     }
+    plan.oracle_view = exec::SweepOracleView{laneref->reduction_indices().data(),
+                                             laneref->reduction_offsets().data(), m};
 
     // Both regimes batch blocks into bitsliced passes (up to 1024 products
     // per full pass — what the SIMD backends feed on); random block contents

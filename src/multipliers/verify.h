@@ -57,15 +57,6 @@ struct VerifyOptions {
     int random_sweeps = 64;          ///< 64 random products per sweep
     std::uint64_t seed = 0xD1CEULL;
     int threads = 0;  ///< campaign workers; <= 0 = hardware concurrency
-    /// Sweep oracle selection: fields with m <= this use the bitsliced
-    /// lane-major verify::LaneReference (m^2 word ops for all 64 reference
-    /// products, no per-lane transposes); larger fields fall back to 64
-    /// per-lane engine products.  Measured (BENCH_4, single core): the lane
-    /// oracle leads 26x at m=163 and still 8x at m=571 — the fallback's
-    /// per-lane bit transposes dominate its engine muls at every practical
-    /// degree — so the default covers the whole differential tier.  0
-    /// forces the engine fallback (differential tests exercise both).
-    int lane_oracle_max_degree = 1024;
     /// Blocks per batched tape pass (clamped to [1, exec::Program::
     /// kMaxBlocks]); 0 = full width.  The verdict and counterexample
     /// coordinates are invariant across widths — this knob only trades
@@ -76,15 +67,6 @@ struct VerifyOptions {
     /// process-wide exec::dispatch() selection (bench ladders, differential
     /// tests).  Throws like Program::run when the backend is unavailable.
     std::optional<exec::Backend> exec_backend{};
-    /// Check each sweep with one fused oracle call (the kernel-tier
-    /// schoolbook + reduction + compare over all blocks, following the tape
-    /// backend's rung) instead of the pre-PR-9 per-block
-    /// LaneReference::products + compare loop.  Verdicts and counterexample
-    /// coordinates are identical either way — the differential tests sweep
-    /// it (the bench freezes its PR-5 baseline as a standalone verbatim
-    /// loop instead).  Ignored in the engine-fallback regime (laneref
-    /// absent).
-    bool fused_sweep_oracle = true;
     /// See VerifyMode.  Algebraic failures surface as VerifyFailure with the
     /// proof's synthesized witness operands and divergent coefficient;
     /// sweep_index stays unrecorded (there is no sweep to replay).

@@ -16,12 +16,10 @@
 // per-lane work at all.  The output is already lane-major, so comparing
 // against a simulated netlist is m word XORs.  Nothing here depends on the
 // field fitting one machine word (one *word per bit*, not per element), so
-// it serves as the sweep oracle across the multi-word regime too: the
-// per-lane engine fallback pays 2m bit-extractions per lane to transpose
-// operands out and m more to gather the netlist output back, which
-// dominates its engine muls at every practical degree (measured 26x slower
-// at m=163, 8x at m=571; VerifyOptions::lane_oracle_max_degree picks the
-// oracle).
+// it is the sweep oracle at every degree: per-lane engine products would
+// pay 2m bit-extractions per lane to transpose operands out and m more to
+// gather the netlist output back, which dominates the engine muls at every
+// practical degree (BENCH_4 measured that 26x slower at m=163, 8x at m=571).
 //
 // The arithmetic here shares nothing with FieldOps (no clmul, no window
 // tables, no fold clusters) — it is an independent implementation derived

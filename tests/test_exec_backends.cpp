@@ -29,6 +29,7 @@
 #include "guard/kernel_check.h"
 #include "multipliers/generator.h"
 #include "multipliers/verify.h"
+#include "netlist/simulate.h"
 #include "testutil.h"
 #include "verify/lane_reference.h"
 
@@ -204,7 +205,10 @@ TEST(ExecBackends, AllBackendsMatchScalarEveryFamilyEveryWidth) {
     // Every generator family x every Table V field x every block width
     // 1..kMaxBlocks: the explicit scalar run is the reference; every
     // runnable vector backend AND the auto-dispatched default must agree
-    // word-for-word on identical random inputs.
+    // word-for-word on identical random inputs.  The scalar rung shares its
+    // interpreter source with the vector rungs, so at the narrowest and the
+    // widest pass it is itself checked against the independent gate-by-gate
+    // interpreter.
     const auto vector_backends = runnable_vector_backends();
     Xorshift64Star rng{0xBAC0FFEEULL};
     testutil::for_each_table5_field([&](const auto& spec, const field::Field& f) {
@@ -229,6 +233,17 @@ TEST(ExecBackends, AllBackendsMatchScalarEveryFamilyEveryWidth) {
                 const auto got_view = std::span{got}.first(n_out * blocks);
                 prog.run(in_view, want_view, ref_scratch, blocks,
                          Backend::Scalar);
+                if (blocks == 1 || blocks == Program::kMaxBlocks) {
+                    for (int b = 0; b < blocks; ++b) {
+                        const auto ref = netlist::simulate_interpreted(
+                            nl, in_view.subspan(b * n_in, n_in));
+                        for (std::size_t o = 0; o < n_out; ++o) {
+                            ASSERT_EQ(want_view[b * n_out + o], ref[o])
+                                << what << ": scalar vs interpreter, blocks="
+                                << blocks << " block " << b << " output " << o;
+                        }
+                    }
+                }
                 for (const Backend b : vector_backends) {
                     std::fill(got.begin(), got.end(), ~std::uint64_t{0});
                     prog.run(in_view, got_view, scratch, blocks, b);
@@ -260,13 +275,17 @@ TEST(ExecBackends, FusedSweepOraclesMatchScalarEveryWidth) {
     // one flipped lane bit flags exactly its own block with exactly that
     // lane's bit, and fully random outputs (dense diffs) stay
     // word-identical.  Fields cover the AVX-512 register-resident m <= 8
-    // fast path (with its odd-block tail), the two-word and the three-word
-    // general pipeline.
+    // fast path (with its odd-block tail) at a degree below one vector
+    // (m = 5) and at a full one (m = 8), a degree that is a whole number of
+    // vectors on both rungs (m = 64), and the two-word and the three-word
+    // general pipeline.  Every field runs on every rung here, unlike the
+    // guard's synthetic screen, which runs only on the dispatched one.
     const auto vector_backends = runnable_vector_backends();
     Xorshift64Star rng{0x0B5E55EDULL};
-    const field::Field fields[] = {field::gf256_paper_field(),
-                                   field::Field::type2(113, 4),
-                                   field::Field::type2(163, 68)};
+    const field::Field fields[] = {
+        field::Field{gf2::Poly::from_exponents({5, 2, 0})},
+        field::gf256_paper_field(), field::Field::type2(64, 23),
+        field::Field::type2(113, 4), field::Field::type2(163, 68)};
     for (const field::Field& f : fields) {
         const int m = f.degree();
         const std::size_t n_in = 2 * static_cast<std::size_t>(m);
@@ -494,16 +513,14 @@ TEST(ExecBackends, QuarantineReportMatchesEnvironment) {
 
 // --- Campaign invariance across widths and backends --------------------------
 
-/// Sweeps verify_multiplier over batching widths x backends x both sweep
-/// oracles and demands one verdict string.  `reference_opts` must already
-/// pin threads = 1.  The reference is the pre-PR-9 shape: width 1, forced
-/// scalar, per-block LaneReference check instead of the fused oracle.
+/// Sweeps verify_multiplier over batching widths x backends and demands one
+/// verdict string.  `reference_opts` must already pin threads = 1.  The
+/// reference run is width 1 on the scalar backend.
 void expect_invariant_campaign(const Netlist& bad, const field::Field& f,
                                mult::VerifyOptions opts,
                                const std::string& regime) {
     opts.max_batch_blocks = 1;
     opts.exec_backend = Backend::Scalar;
-    opts.fused_sweep_oracle = false;
     const auto reference = mult::verify_multiplier(bad, f, opts);
     ASSERT_TRUE(reference.has_value()) << regime;
     const std::string want = reference->to_string();
@@ -513,20 +530,15 @@ void expect_invariant_campaign(const Netlist& bad, const field::Field& f,
         backends.emplace_back(b);
     }
     for (const int width : {1, 4, 8, 16}) {
-        for (const bool fused : {false, true}) {
-            for (const auto& backend : backends) {
-                opts.max_batch_blocks = width;
-                opts.exec_backend = backend;
-                opts.fused_sweep_oracle = fused;
-                const auto failure = mult::verify_multiplier(bad, f, opts);
-                const std::string label =
-                    regime + ", width=" + std::to_string(width) +
-                    ", backend=" +
-                    (backend ? backend_name(*backend) : "auto") +
-                    (fused ? ", fused" : ", per-block");
-                ASSERT_TRUE(failure.has_value()) << label;
-                EXPECT_EQ(failure->to_string(), want) << label;
-            }
+        for (const auto& backend : backends) {
+            opts.max_batch_blocks = width;
+            opts.exec_backend = backend;
+            const auto failure = mult::verify_multiplier(bad, f, opts);
+            const std::string label =
+                regime + ", width=" + std::to_string(width) + ", backend=" +
+                (backend ? backend_name(*backend) : "auto");
+            ASSERT_TRUE(failure.has_value()) << label;
+            EXPECT_EQ(failure->to_string(), want) << label;
         }
     }
 }

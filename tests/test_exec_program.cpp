@@ -502,12 +502,10 @@ TEST(ExecProgram, RunPreconditionMessagesArePinned) {
     // test_exec_backends.cpp).
 }
 
-TEST(ExecProgram, CompiledCampaignMatchesAcrossThreadCountsAndOracles) {
+TEST(ExecProgram, CompiledCampaignMatchesAcrossThreadCounts) {
     // The compiled verify path must report the same verdict and
-    // counterexample at any thread count AND under either sweep oracle
-    // (lane-major reference vs per-lane engine fallback) — the acceptance
-    // guarantee of the PR-4 refactor, exercised here so the TSan job chews
-    // on the threaded tape execution too.
+    // counterexample at any thread count — exercised here so the TSan job
+    // chews on the threaded tape execution too.
     const field::Field f = field::Field::type2(113, 4);
     const auto good = mult::build_multiplier(mult::Method::Date2018Flat, f);
     const auto bad = testutil::clone_netlist(
@@ -526,16 +524,12 @@ TEST(ExecProgram, CompiledCampaignMatchesAcrossThreadCountsAndOracles) {
     EXPECT_FALSE(mult::verify_multiplier(good, f, lane_opts).has_value());
 
     for (int threads : {2, 4}) {
-        for (int oracle_degree : {0, 1024}) {
-            mult::VerifyOptions opts = lane_opts;
-            opts.threads = threads;
-            opts.lane_oracle_max_degree = oracle_degree;
-            const auto failure = mult::verify_multiplier(bad, f, opts);
-            ASSERT_TRUE(failure.has_value())
-                << threads << " threads, oracle<=" << oracle_degree;
-            EXPECT_EQ(failure->to_string(), reference->to_string())
-                << threads << " threads, oracle<=" << oracle_degree;
-        }
+        mult::VerifyOptions opts = lane_opts;
+        opts.threads = threads;
+        const auto failure = mult::verify_multiplier(bad, f, opts);
+        ASSERT_TRUE(failure.has_value()) << threads << " threads";
+        EXPECT_EQ(failure->to_string(), reference->to_string())
+            << threads << " threads";
     }
 }
 
