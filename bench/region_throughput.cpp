@@ -25,6 +25,7 @@
 #include "field/field_catalog.h"
 #include "field/field_ops.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -123,15 +124,14 @@ void emit_paths(std::FILE* out, const std::vector<PathResult>& paths) {
     }
 }
 
-/// Kernel kinds compiled into this binary and runnable on this CPU.
-std::vector<bulk::KernelKind> runnable(const std::vector<bulk::KernelKind>& ks) {
-    std::vector<bulk::KernelKind> out;
-    const bulk::CpuFeatures cpu = bulk::detect_cpu();
-    for (const auto k : ks) {
-        if (bulk::kernel_supported(k, cpu)) {
-            out.push_back(k);
-        }
-    }
+/// Kernel kinds compiled into this binary and runnable on this CPU, in
+/// compiled order: Scalar, then the ladder's rungs worst first.
+template <class Kernel>
+std::vector<bulk::KernelKind> runnable(
+    const guard::Ladder<bulk::KernelKind, Kernel>& ladder) {
+    std::vector<bulk::KernelKind> out = ladder.runnable(bulk::detect_cpu());
+    out.push_back(bulk::KernelKind::Scalar);
+    std::reverse(out.begin(), out.end());
     return out;
 }
 
@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
     std::vector<PathResult> enc8_paths;
     double dispatched8_speedup = 0;
     std::string dispatched8_kernel;
-    for (const auto kind : runnable(bulk::compiled_byte_kernels())) {
+    for (const auto kind : runnable(bulk::kByteLadder)) {
         const bulk::RegionEngine eng{f8.ops(), kind};
         const auto prep = eng.prepare(c8);
         std::vector<std::uint8_t> acc(kSymbols, 0);
@@ -226,7 +226,7 @@ int main(int argc, char** argv) {
     });
     const double base8_scale_sps = static_cast<double>(kSymbols) / base8_scale_secs;
     eng8_scalar.mul_region(prep8_scalar, src8, ref8);
-    for (const auto kind : runnable(bulk::compiled_byte_kernels())) {
+    for (const auto kind : runnable(bulk::kByteLadder)) {
         const bulk::RegionEngine eng{f8.ops(), kind};
         const auto prep = eng.prepare(c8);
         std::vector<std::uint8_t> out(kSymbols, 0);
@@ -370,7 +370,7 @@ int main(int argc, char** argv) {
     eng64_scalar.addmul_region(prep64_scalar, src64w, ref64);
 
     std::vector<PathResult> enc64_paths;
-    for (const auto kind : runnable(bulk::compiled_word_kernels())) {
+    for (const auto kind : runnable(bulk::kWordLadder)) {
         const bulk::RegionEngine eng{f64.ops(), kind};
         const auto prep = eng.prepare(c64);
         std::vector<std::uint64_t> acc(kSymbols, 0);

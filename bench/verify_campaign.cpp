@@ -32,6 +32,7 @@
 #include "multipliers/verify.h"
 #include "netlist/clone.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -93,15 +94,12 @@ netlist::Netlist faulted_clone(const netlist::Netlist& good, std::size_t index,
         });
 }
 
-/// Tape backends this build + CPU can execute, scalar first.
+/// Tape backends this build + CPU can execute, scalar first, then the
+/// ladder's rungs worst first.
 std::vector<exec::Backend> runnable_backends() {
-    std::vector<exec::Backend> out;
-    const auto cpu = bulk::detect_cpu();
-    for (const exec::Backend b : exec::compiled_tape_backends()) {
-        if (exec::backend_supported(b, cpu)) {
-            out.push_back(b);
-        }
-    }
+    std::vector<exec::Backend> out = exec::kTapeLadder.runnable(bulk::detect_cpu());
+    out.push_back(exec::Backend::Scalar);
+    std::reverse(out.begin(), out.end());
     return out;
 }
 

@@ -1,6 +1,6 @@
-// Kernel selection: the pure policy (make_dispatch) plus the process-wide
-// singleton that binds it to the detected CPU and the GFR_BULK_FORCE_SCALAR
-// environment knob.
+// Kernel tables and the two bulk ladders, plus the process-wide singleton
+// that screens them over the detected CPU and the GFR_BULK_FORCE_SCALAR /
+// GFR_GUARD_FAULT environment knobs.
 
 #include "bulk/kernels.h"
 
@@ -49,28 +49,6 @@ bool kernel_supported(KernelKind kind, const CpuFeatures& f) noexcept {
     __builtin_unreachable();
 }
 
-std::vector<KernelKind> compiled_byte_kernels() {
-    std::vector<KernelKind> kinds{KernelKind::Scalar};
-    if (ssse3_byte_kernel() != nullptr) {
-        kinds.push_back(KernelKind::Ssse3);
-    }
-    if (avx2_byte_kernel() != nullptr) {
-        kinds.push_back(KernelKind::Avx2);
-    }
-    if (gfni_byte_kernel() != nullptr) {
-        kinds.push_back(KernelKind::Gfni);
-    }
-    return kinds;
-}
-
-std::vector<KernelKind> compiled_word_kernels() {
-    std::vector<KernelKind> kinds{KernelKind::Scalar};
-    if (vpclmul_word_kernel() != nullptr) {
-        kinds.push_back(KernelKind::Vpclmul);
-    }
-    return kinds;
-}
-
 const ByteKernel* byte_kernel(KernelKind kind) noexcept {
     switch (kind) {
         case KernelKind::Scalar: return &kByteScalar;
@@ -96,71 +74,46 @@ const WordKernel* word_kernel(KernelKind kind) noexcept {
     __builtin_unreachable();
 }
 
-Dispatch make_dispatch(const CpuFeatures& f, bool force_scalar) noexcept {
-    Dispatch d;
-    d.cpu = f;
-    d.forced_scalar = force_scalar;
-    d.byte = &kByteScalar;
-    d.word = nullptr;
-    if (force_scalar) {
-        return d;
-    }
-    // Best compiled kernel the running CPU supports, never beyond: each
-    // candidate requires both its TU (non-null registry) and the full
-    // feature predicate in kernel_supported — one source of truth.  Byte
-    // preference order: gfni > avx2 > ssse3 > scalar (GFNI does one
-    // affine transform where the shuffle kernels do two lookups + XOR).
-    for (const KernelKind kind :
-         {KernelKind::Gfni, KernelKind::Avx2, KernelKind::Ssse3}) {
-        if (const ByteKernel* k = byte_kernel(kind);
-            k != nullptr && kernel_supported(kind, f)) {
-            d.byte = k;
-            break;
-        }
-    }
-    if (const WordKernel* k = vpclmul_word_kernel();
-        k != nullptr && kernel_supported(KernelKind::Vpclmul, f)) {
-        d.word = k;
-    }
-    return d;
-}
-
-bool env_flag_enabled(const char* value) noexcept {
-    if (value == nullptr || *value == '\0') {
-        return false;
-    }
-    for (const char* off : {"0", "off", "false", "no"}) {
-        const char* v = value;
-        const char* w = off;
-        for (; *v != '\0' && *w != '\0'; ++v, ++w) {
-            const char c = (*v >= 'A' && *v <= 'Z')
-                               ? static_cast<char>(*v - 'A' + 'a')
-                               : *v;
-            if (c != *w) {
-                break;
-            }
-        }
-        if (*v == '\0' && *w == '\0') {
-            return false;
-        }
-    }
-    return true;
-}
-
 namespace {
 
-bool force_scalar_from_env() noexcept {
-    // "GFR_BULK_FORCE_SCALAR=0" (or off/false/no, or empty) means unset —
-    // scripts can pass the knob through unconditionally.
-    return env_flag_enabled(std::getenv("GFR_BULK_FORCE_SCALAR"));
-}
+constexpr KernelKind kByteRungs[] = {KernelKind::Gfni, KernelKind::Avx2,
+                                     KernelKind::Ssse3};
+constexpr KernelKind kWordRungs[] = {KernelKind::Vpclmul};
 
 }  // namespace
 
+constexpr guard::Ladder<KernelKind, ByteKernel> kByteLadder{
+    .rungs = kByteRungs,
+    .floor = &kByteScalar,
+    .compiled = byte_kernel,
+    .supported = kernel_supported,
+    .token = kernel_name,
+    .selftest = guard::selftest_byte_kernel,
+};
+
+constexpr guard::Ladder<KernelKind, WordKernel> kWordLadder{
+    .rungs = kWordRungs,
+    .floor = nullptr,
+    .compiled = word_kernel,
+    .supported = kernel_supported,
+    .token = kernel_name,
+    .selftest = guard::selftest_word_kernel,
+};
+
+Dispatch screen_dispatch(const CpuFeatures& cpu, bool force_scalar,
+                         const char* fault_spec) {
+    Dispatch d;
+    d.cpu = cpu;
+    d.forced_scalar = force_scalar;
+    d.byte = kByteLadder.screen(cpu, force_scalar, fault_spec, d.quarantined);
+    d.word = kWordLadder.screen(cpu, force_scalar, fault_spec, d.quarantined);
+    return d;
+}
+
 const Dispatch& dispatch() {
-    static const Dispatch d = guard::screen_and_record(
-        make_dispatch(detect_cpu(), force_scalar_from_env()),
-        std::getenv("GFR_GUARD_FAULT"));
+    static const Dispatch d = screen_dispatch(
+        detect_cpu(), guard::env_flag_enabled(std::getenv("GFR_BULK_FORCE_SCALAR")),
+        std::getenv(guard::kGuardFaultEnv));
     return d;
 }
 

@@ -4,11 +4,11 @@
 // Bulk region kernels: the ISA-specific inner loops of the streaming
 // GF(2^m) engine, plus the process-wide runtime dispatch that selects them.
 //
-// This header is a *leaf*: it depends on nothing above <cstdint>, so the
-// field layer (FieldOps / ConstMultiplier region routing) can sit on top of
-// it while bulk::RegionEngine — the traffic-shaped API in
-// bulk/region_engine.h — sits on top of the field layer.  Two sublayers,
-// one directory:
+// This header includes only bulk/cpu.h and guard/ladder.h (which itself
+// includes only bulk/cpu.h and guard/status.h), so the field layer
+// (FieldOps / ConstMultiplier region routing) can sit on top of it while
+// bulk::RegionEngine — the traffic-shaped API in bulk/region_engine.h —
+// sits on top of the field layer.  Two sublayers, one directory:
 //
 //     bulk/kernels.*      (ISA kernels + dispatch; below src/field)
 //     bulk/region_engine.* (streaming API over FieldOps; above src/field)
@@ -43,15 +43,17 @@
 // the two regions must not overlap at all.  Partial overlap is undefined.
 //
 // Dispatch: bulk::dispatch() probes the CPU once (bulk/cpu.h) and pins the
-// best compiled-and-supported kernel per family.  A kernel is only eligible
-// when (a) its translation unit was compiled (GFR_BULK_HAVE_* — off on
-// non-x86 targets or with -DGFR_BULK_PORTABLE_ONLY=ON) and (b) the running
-// CPU+OS report the ISA, so the dispatch can never select an unsupported
-// instruction set.  Setting the environment variable GFR_BULK_FORCE_SCALAR
-// (to anything but "0") before first use pins the portable scalar kernels —
-// the CI fallback job and A/B benchmarking both use it.
+// best compiled-and-supported kernel per family through the two guard
+// ladders below.  A kernel is only eligible when (a) its translation unit
+// was compiled (GFR_BULK_HAVE_* — off on non-x86 targets or with
+// -DGFR_BULK_PORTABLE_ONLY=ON) and (b) the running CPU+OS report the ISA,
+// so the dispatch can never select an unsupported instruction set.
+// Setting the environment variable GFR_BULK_FORCE_SCALAR before first use
+// pins the portable scalar kernels (empty, "0", "off", "false" and "no"
+// mean unset) — the CI fallback job and A/B benchmarking both use it.
 
 #include "bulk/cpu.h"
+#include "guard/ladder.h"
 
 #include <cstddef>
 #include <cstdint>
@@ -61,7 +63,8 @@ namespace gfr::bulk {
 
 /// Which ISA a kernel is built on.  Scalar is always available.
 /// Adding an enumerator is a compile error (-Werror=switch, no defaults)
-/// until every dispatch table in dispatch.cpp handles it.
+/// until every dispatch table in dispatch.cpp handles it; a new rung also
+/// needs its place in kByteLadder or kWordLadder.
 enum class KernelKind : std::uint8_t { Scalar, Ssse3, Avx2, Vpclmul, Gfni };
 
 [[nodiscard]] const char* kernel_name(KernelKind kind) noexcept;
@@ -152,11 +155,6 @@ void word_addmul_windows(const std::uint64_t* table, int windows,
 [[nodiscard]] const ByteKernel* gfni_byte_kernel() noexcept;
 [[nodiscard]] const WordKernel* vpclmul_word_kernel() noexcept;
 
-/// Kernels compiled into this binary, Scalar first.  The differential tests
-/// sweep these (running only the ones kernel_supported() allows).
-[[nodiscard]] std::vector<KernelKind> compiled_byte_kernels();
-[[nodiscard]] std::vector<KernelKind> compiled_word_kernels();
-
 /// The compiled byte kernel of `kind` (Scalar included), or nullptr.
 [[nodiscard]] const ByteKernel* byte_kernel(KernelKind kind) noexcept;
 
@@ -166,32 +164,34 @@ void word_addmul_windows(const std::uint64_t* table, int windows,
 
 // --- Runtime dispatch --------------------------------------------------------
 
-/// The kernel selection for one (CPU, policy) pair.  `byte` always points at
-/// a kernel (scalar at worst); `word` is null when no wide carry-less kernel
-/// is compiled+supported, in which case u64 callers keep the window walk.
+/// Byte family: gfni > avx2 > ssse3 over the kByteScalar floor.  GFNI does
+/// one affine transform where the shuffle kernels do two lookups + XOR.
+extern const guard::Ladder<KernelKind, ByteKernel> kByteLadder;
+
+/// Word family: vpclmul over a null floor — the window-table walk.
+extern const guard::Ladder<KernelKind, WordKernel> kWordLadder;
+
+/// The kernel selection for one (CPU, policy, fault spec).  `byte` always
+/// points at a kernel (scalar at worst); `word` is null when no wide
+/// carry-less kernel is compiled+supported+healthy, in which case u64
+/// callers keep the window walk.
 struct Dispatch {
     CpuFeatures cpu;
     bool forced_scalar = false;
     const ByteKernel* byte = nullptr;
     const WordKernel* word = nullptr;
+    std::vector<guard::Quarantine> quarantined;  ///< byte rungs, then word
 };
 
-/// Pure selection logic: picks the best compiled kernel the features allow.
-/// Exposed (rather than buried in dispatch()) so tests can pin the
-/// never-select-unsupported-ISA property against arbitrary feature sets.
-[[nodiscard]] Dispatch make_dispatch(const CpuFeatures& f, bool force_scalar) noexcept;
+/// Screen both ladders over `cpu`: the selection callers may use, with
+/// every rung that failed its self-test on the way down.
+[[nodiscard]] Dispatch screen_dispatch(const CpuFeatures& cpu, bool force_scalar,
+                                       const char* fault_spec);
 
-/// Shared parsing for boolean environment knobs (GFR_BULK_FORCE_SCALAR and
-/// friends): enabled iff set, non-empty, and not one of "0", "off",
-/// "false", "no" (case-insensitive).  `value` is the getenv() result.
-[[nodiscard]] bool env_flag_enabled(const char* value) noexcept;
-
-/// The process-wide dispatch: CPU probed and GFR_BULK_FORCE_SCALAR read
-/// once, on first call.  Every non-scalar kernel the selection picks is
-/// self-tested against the scalar reference before it is returned
-/// (guard/kernel_check.h); a failing kernel is quarantined and the next
-/// rung of the ladder takes its place, so callers can never observe a
-/// kernel that failed its golden vectors.
+/// The process-wide dispatch: screen_dispatch over the probed CPU,
+/// GFR_BULK_FORCE_SCALAR and GFR_GUARD_FAULT, run once on first call, so
+/// callers can never observe a kernel that failed its golden vectors
+/// (guard/kernel_check.h).
 [[nodiscard]] const Dispatch& dispatch();
 
 }  // namespace gfr::bulk

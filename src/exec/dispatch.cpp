@@ -1,11 +1,9 @@
-// Tape-backend selection: the pure policy (make_exec_dispatch) plus the
-// process-wide singleton binding it to the detected CPU and the
-// GFR_EXEC_FORCE_SCALAR environment knob, screened through the guard
-// quarantine ladder before first use.
+// Tape-backend tables and the exec ladder, plus the process-wide singleton
+// that screens it over the detected CPU and the GFR_EXEC_FORCE_SCALAR /
+// GFR_GUARD_FAULT environment knobs.
 
 #include "exec/run_kernels.h"
 
-#include "bulk/kernels.h"
 #include "guard/exec_check.h"
 
 #include <cstdlib>
@@ -38,17 +36,6 @@ bool backend_supported(Backend backend, const bulk::CpuFeatures& f) noexcept {
     __builtin_unreachable();
 }
 
-std::vector<Backend> compiled_tape_backends() {
-    std::vector<Backend> backends{Backend::Scalar};
-    if (avx2_tape_kernel() != nullptr) {
-        backends.push_back(Backend::Avx2);
-    }
-    if (avx512_tape_kernel() != nullptr) {
-        backends.push_back(Backend::Avx512);
-    }
-    return backends;
-}
-
 const TapeKernel* tape_kernel(Backend backend) noexcept {
     switch (backend) {
         case Backend::Scalar: return &kTapeScalar;
@@ -58,34 +45,43 @@ const TapeKernel* tape_kernel(Backend backend) noexcept {
     __builtin_unreachable();
 }
 
-ExecDispatch make_exec_dispatch(const bulk::CpuFeatures& f,
-                                bool force_scalar) noexcept {
+namespace {
+
+const char* fault_token(Backend backend) noexcept {
+    switch (backend) {
+        case Backend::Scalar: return "exec-scalar";
+        case Backend::Avx2: return "exec-avx2";
+        case Backend::Avx512: return "exec-avx512";
+    }
+    __builtin_unreachable();
+}
+
+constexpr Backend kTapeRungs[] = {Backend::Avx512, Backend::Avx2};
+
+}  // namespace
+
+constexpr guard::Ladder<Backend, TapeKernel> kTapeLadder{
+    .rungs = kTapeRungs,
+    .floor = &kTapeScalar,
+    .compiled = tape_kernel,
+    .supported = backend_supported,
+    .token = fault_token,
+    .selftest = guard::selftest_tape_kernel,
+};
+
+ExecDispatch screen_exec_dispatch(const bulk::CpuFeatures& cpu,
+                                  bool force_scalar, const char* fault_spec) {
     ExecDispatch d;
-    d.cpu = f;
+    d.cpu = cpu;
     d.forced_scalar = force_scalar;
-    d.kernel = &kTapeScalar;
-    if (force_scalar) {
-        return d;
-    }
-    // Best compiled backend the running CPU supports, never beyond: each
-    // candidate requires both its TU (non-null registry) and the feature
-    // predicate in backend_supported — one source of truth.
-    for (const Backend backend : {Backend::Avx512, Backend::Avx2}) {
-        if (const TapeKernel* k = tape_kernel(backend);
-            k != nullptr && backend_supported(backend, f)) {
-            d.kernel = k;
-            break;
-        }
-    }
+    d.kernel = kTapeLadder.screen(cpu, force_scalar, fault_spec, d.quarantined);
     return d;
 }
 
 const ExecDispatch& dispatch() {
-    static const ExecDispatch d = guard::screen_exec_and_record(
-        make_exec_dispatch(bulk::detect_cpu(),
-                           bulk::env_flag_enabled(
-                               std::getenv(kExecForceScalarEnv))),
-        std::getenv("GFR_GUARD_FAULT"));
+    static const ExecDispatch d = screen_exec_dispatch(
+        bulk::detect_cpu(), guard::env_flag_enabled(std::getenv(kExecForceScalarEnv)),
+        std::getenv(guard::kGuardFaultEnv));
     return d;
 }
 

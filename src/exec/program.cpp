@@ -663,15 +663,14 @@ void Program::run(std::span<const std::uint64_t> in, std::span<std::uint64_t> ou
 
 void Program::run(std::span<const std::uint64_t> in, std::span<std::uint64_t> out,
                   Scratch& scratch, int blocks, Backend backend) const {
-    const TapeKernel* kernel = tape_kernel(backend);
-    // Probe the CPU directly rather than via dispatch(): the guard screen
-    // runs *inside* dispatch()'s first-use initialisation and exercises
-    // candidate backends through this overload, so consulting the dispatch
-    // singleton here would recurse into its own construction.  Cache the
-    // probe — CPUID/XGETBV serialize (and VM-exit under hypervisors), and
-    // this overload sits on the per-sweep path of backend-pinned campaigns.
+    // An explicit backend bypasses the process-wide selection (force-scalar
+    // knob, quarantine), so it needs only the ladder's compiled-and-supported
+    // check, not dispatch() and its first-use screen.  Cache the probe —
+    // CPUID/XGETBV serialize (and VM-exit under hypervisors), and this
+    // overload sits on the per-sweep path of backend-pinned campaigns.
     static const bulk::CpuFeatures cpu = bulk::detect_cpu();
-    if (kernel == nullptr || !backend_supported(backend, cpu)) {
+    const TapeKernel* kernel = kTapeLadder.available(backend, cpu);
+    if (kernel == nullptr) {
         throw std::invalid_argument{
             "exec::Program::run: backend not available on this host"};
     }

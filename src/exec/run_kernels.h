@@ -26,15 +26,16 @@
 //
 // Dispatch discipline (same as src/bulk): each SIMD backend lives in its own
 // translation unit compiled with its own -m flags (GFR_EXEC_HAVE_*, skipped
-// under GFR_BULK_PORTABLE_ONLY or non-x86 toolchains); the pure policy
-// make_exec_dispatch can never select a backend the running CPU+OS do not
-// support; GFR_EXEC_FORCE_SCALAR pins the scalar executor at first use; and
-// exec::dispatch() screens its selection through the guard quarantine ladder
-// (guard/exec_check.h) before any caller can observe it, so a faulty vector
-// backend degrades to scalar, never to wrong answers.
+// under GFR_BULK_PORTABLE_ONLY or non-x86 toolchains); kTapeLadder can never
+// select a backend the running CPU+OS do not support; GFR_EXEC_FORCE_SCALAR
+// pins the scalar executor at first use; and exec::dispatch() screens the
+// ladder (guard/ladder.h, self-test in guard/exec_check.h) before any caller
+// can observe it, so a faulty vector backend degrades to scalar, never to
+// wrong answers.
 
 #include "bulk/cpu.h"
 #include "exec/program.h"
+#include "guard/ladder.h"
 
 #include <cstddef>
 #include <cstdint>
@@ -124,35 +125,34 @@ extern const TapeKernel kTapeScalar;
 [[nodiscard]] const TapeKernel* avx2_tape_kernel() noexcept;
 [[nodiscard]] const TapeKernel* avx512_tape_kernel() noexcept;
 
-/// Backends compiled into this binary, Scalar first.  The differential
-/// tests sweep these (running only the ones backend_supported() allows).
-[[nodiscard]] std::vector<Backend> compiled_tape_backends();
-
 /// The compiled executor of `backend` (Scalar included), or nullptr.
 [[nodiscard]] const TapeKernel* tape_kernel(Backend backend) noexcept;
 
-/// The backend selection for one (CPU, policy) pair.  `kernel` always
-/// points at an executor (scalar at worst).
+/// avx512 > avx2 over the kTapeScalar floor; GFR_GUARD_FAULT tokens are
+/// "exec-avx512" / "exec-avx2".
+extern const guard::Ladder<Backend, TapeKernel> kTapeLadder;
+
+/// The backend selection for one (CPU, policy, fault spec).  `kernel`
+/// always points at an executor (scalar at worst).
 struct ExecDispatch {
     bulk::CpuFeatures cpu;
     bool forced_scalar = false;
     const TapeKernel* kernel = nullptr;
+    std::vector<guard::Quarantine> quarantined;
 };
 
-/// Pure selection logic: the best compiled backend the features allow
-/// (avx512 > avx2 > scalar).  Exposed so tests can pin the
-/// never-select-unsupported-ISA property against arbitrary feature sets.
-[[nodiscard]] ExecDispatch make_exec_dispatch(const bulk::CpuFeatures& f,
-                                              bool force_scalar) noexcept;
+/// Screen kTapeLadder over `cpu`: the selection callers may use, with every
+/// backend that failed its golden-tape self-test on the way down.
+[[nodiscard]] ExecDispatch screen_exec_dispatch(const bulk::CpuFeatures& cpu,
+                                                bool force_scalar,
+                                                const char* fault_spec);
 
 /// Environment knob pinning the scalar executor (parsed with
-/// bulk::env_flag_enabled: empty/"0"/"off"/"false"/"no" mean unset).
+/// guard::env_flag_enabled: empty/"0"/"off"/"false"/"no" mean unset).
 inline constexpr const char* kExecForceScalarEnv = "GFR_EXEC_FORCE_SCALAR";
 
-/// The process-wide backend: CPU probed and GFR_EXEC_FORCE_SCALAR read
-/// once, on first call.  The selection is screened against the scalar
-/// executor on golden tapes before it is returned (guard/exec_check.h); a
-/// failing backend is quarantined and the next rung takes its place.
+/// The process-wide backend: screen_exec_dispatch over the probed CPU,
+/// GFR_EXEC_FORCE_SCALAR and GFR_GUARD_FAULT, run once on first call.
 [[nodiscard]] const ExecDispatch& dispatch();
 
 }  // namespace gfr::exec

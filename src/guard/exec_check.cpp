@@ -1,6 +1,5 @@
 #include "guard/exec_check.h"
 
-#include "guard/kernel_check.h"
 #include "netlist/netlist.h"
 
 #include <array>
@@ -262,25 +261,6 @@ Status diff_oracle(const exec::TapeKernel& k, int m, TapeTestRng& rng,
 
 }  // namespace
 
-std::string TapeCheck::to_string() const {
-    std::string s = "quarantined exec-";
-    s += exec::backend_name(backend);
-    s += forced ? " (forced by " : " (";
-    s += forced ? std::string{kGuardFaultEnv} + ")" : std::string{"self-test)"};
-    s += ": ";
-    s += detail;
-    return s;
-}
-
-bool exec_fault_forced(const char* spec, exec::Backend backend) noexcept {
-    if (backend == exec::Backend::Scalar) {
-        return false;
-    }
-    char name[32];
-    std::snprintf(name, sizeof name, "exec-%s", exec::backend_name(backend));
-    return fault_spec_hits(spec, name);
-}
-
 Status selftest_tape_kernel(const exec::TapeKernel& k, bool force_fault) {
     if (k.run == nullptr || k.oracle == nullptr) {
         return Status::fail(Fault::KernelSelfTest,
@@ -310,66 +290,8 @@ Status selftest_tape_kernel(const exec::TapeKernel& k, bool force_fault) {
     return Status::good();
 }
 
-ExecScreenResult screen_exec_dispatch(const exec::ExecDispatch& base,
-                                      const char* fault_spec) {
-    ExecScreenResult r;
-    r.dispatch = base;
-    // Screen the selected backend; on failure fall to the next rung the CPU
-    // supports and screen that too.  Scalar terminates the ladder
-    // unscreened — it is the reference semantics.
-    const exec::TapeKernel* k = base.kernel;
-    while (k != nullptr && k->backend != exec::Backend::Scalar) {
-        const bool forced = exec_fault_forced(fault_spec, k->backend);
-        const Status s = selftest_tape_kernel(*k, forced);
-        if (s.ok()) {
-            break;
-        }
-        r.quarantined.push_back(TapeCheck{k->backend, forced, s.detail});
-        // Next rung of avx512 > avx2 > scalar that is compiled and
-        // CPU-supported (the same order make_exec_dispatch prefers).
-        const exec::TapeKernel* next = nullptr;
-        constexpr exec::Backend kLadder[] = {exec::Backend::Avx512,
-                                             exec::Backend::Avx2};
-        bool below_failed = false;
-        for (const exec::Backend backend : kLadder) {
-            if (backend == k->backend) {
-                below_failed = true;
-                continue;
-            }
-            if (!below_failed) {
-                continue;
-            }
-            if (const auto* cand = exec::tape_kernel(backend);
-                cand != nullptr && exec::backend_supported(backend, base.cpu)) {
-                next = cand;
-                break;
-            }
-        }
-        k = (next != nullptr) ? next : &exec::kTapeScalar;
-    }
-    r.dispatch.kernel = k;
-    return r;
-}
-
-namespace {
-// Written once, inside exec::dispatch()'s magic-static initializer (which
-// serializes concurrent first calls); read-only afterwards.
-std::vector<TapeCheck>& exec_quarantine_store() {
-    static std::vector<TapeCheck> store;
-    return store;
-}
-}  // namespace
-
-exec::ExecDispatch screen_exec_and_record(const exec::ExecDispatch& base,
-                                          const char* fault_spec) {
-    ExecScreenResult r = screen_exec_dispatch(base, fault_spec);
-    exec_quarantine_store() = std::move(r.quarantined);
-    return r.dispatch;
-}
-
-const std::vector<TapeCheck>& exec_quarantine_report() {
-    (void)exec::dispatch();  // force the one-time screening
-    return exec_quarantine_store();
+const std::vector<Quarantine>& exec_quarantine_report() {
+    return exec::dispatch().quarantined;
 }
 
 }  // namespace gfr::guard

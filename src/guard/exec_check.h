@@ -1,8 +1,9 @@
 #ifndef GFR_GUARD_EXEC_CHECK_H
 #define GFR_GUARD_EXEC_CHECK_H
 
-// Golden-tape self-tests and the quarantine ladder for the exec backends —
-// the tape-execution rung of the guard discipline in kernel_check.h.
+// Golden-tape self-test for the exec tape ladder (exec::kTapeLadder; the
+// walk itself is guard/ladder.h) — the tape-execution rung of the guard
+// discipline in kernel_check.h.
 //
 // Every non-scalar tape executor exec::dispatch() selects is screened ONCE,
 // at first dispatch, by running synthetic golden tapes (an AND/XOR netlist
@@ -21,31 +22,16 @@
 // faulty vector backend degrades to scalar, never to wrong answers.
 //
 // GFR_GUARD_FAULT drills the ladder end-to-end in CI with the same spec
-// grammar as the bulk kernels (fault_spec_hits): the exec tokens are
+// grammar as the bulk kernels (guard::fault_spec_hits): the exec tokens are
 // "exec-avx2" / "exec-avx512", and the umbrella tokens ("all", "simd", "1",
 // "on", "true", "yes") hit the exec rungs too.
 
 #include "exec/run_kernels.h"
 #include "guard/status.h"
 
-#include <string>
 #include <vector>
 
 namespace gfr::guard {
-
-/// One exec quarantine event: which backend failed screening and why.
-struct TapeCheck {
-    exec::Backend backend = exec::Backend::Scalar;
-    bool forced = false;  ///< failure injected via the GFR_GUARD_FAULT spec
-    std::string detail;   ///< first mismatch, self-test coordinates included
-    [[nodiscard]] std::string to_string() const;
-};
-
-/// True when `spec` (a GFR_GUARD_FAULT value) demands a forced self-test
-/// failure for `backend` — token "exec-<name>" or an umbrella token.
-/// Scalar is never forced.
-[[nodiscard]] bool exec_fault_forced(const char* spec,
-                                     exec::Backend backend) noexcept;
 
 /// Screen one tape executor against the scalar reference on the golden
 /// tapes, all block widths.  `force_fault` flips one output bit before the
@@ -54,27 +40,9 @@ struct TapeCheck {
 [[nodiscard]] Status selftest_tape_kernel(const exec::TapeKernel& k,
                                           bool force_fault = false);
 
-struct ExecScreenResult {
-    exec::ExecDispatch dispatch;         ///< possibly downgraded selection
-    std::vector<TapeCheck> quarantined;  ///< failures, in screening order
-};
-
-/// Pure screening policy: self-test `base`'s backend, downgrade past any
-/// failure, screen the replacement rung too.  No global state — the unit
-/// tests drive this with synthetic fault specs.
-[[nodiscard]] ExecScreenResult screen_exec_dispatch(
-    const exec::ExecDispatch& base, const char* fault_spec = nullptr);
-
-/// screen_exec_dispatch + record the quarantine list for
-/// exec_quarantine_report().  Called exactly once, by exec::dispatch()'s
-/// one-time initializer.
-[[nodiscard]] exec::ExecDispatch screen_exec_and_record(
-    const exec::ExecDispatch& base, const char* fault_spec);
-
-/// Backends quarantined by the process-wide exec dispatch screening (empty
-/// in a healthy process).  Forces exec::dispatch() first, so the result is
-/// complete and race-free regardless of call order.
-[[nodiscard]] const std::vector<TapeCheck>& exec_quarantine_report();
+/// Backends quarantined by the process-wide exec::dispatch() (empty in a
+/// healthy process).
+[[nodiscard]] const std::vector<Quarantine>& exec_quarantine_report();
 
 }  // namespace gfr::guard
 

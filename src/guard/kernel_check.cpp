@@ -21,18 +21,6 @@ struct SelfTestRng {
     }
 };
 
-bool token_matches(const char* begin, const char* end, const char* word) noexcept {
-    for (; begin != end && *word != '\0'; ++begin, ++word) {
-        const char c = (*begin >= 'A' && *begin <= 'Z')
-                           ? static_cast<char>(*begin - 'A' + 'a')
-                           : *begin;
-        if (c != *word) {
-            return false;
-        }
-    }
-    return begin == end && *word == '\0';
-}
-
 std::string hex(std::uint64_t v) {
     char buf[19];
     std::snprintf(buf, sizeof buf, "0x%llx", static_cast<unsigned long long>(v));
@@ -85,54 +73,6 @@ std::uint64_t peasant_mul(std::uint64_t a, std::uint64_t b) noexcept {
 }
 
 }  // namespace
-
-std::string KernelCheck::to_string() const {
-    std::string s = "quarantined ";
-    s += bulk::kernel_name(kind);
-    s += forced ? " (forced by " : " (";
-    s += forced ? std::string{kGuardFaultEnv} + ")" : std::string{"self-test)"};
-    s += ": ";
-    s += detail;
-    return s;
-}
-
-bool fault_spec_hits(const char* spec, const char* kernel_name) noexcept {
-    if (spec == nullptr || *spec == '\0') {
-        return false;
-    }
-    const char* p = spec;
-    while (*p != '\0') {
-        const char* start = p;
-        while (*p != '\0' && *p != ',') {
-            ++p;
-        }
-        const char* stop = p;
-        if (*p == ',') {
-            ++p;
-        }
-        if (token_matches(start, stop, "0") || token_matches(start, stop, "off") ||
-            token_matches(start, stop, "false") ||
-            token_matches(start, stop, "no")) {
-            continue;
-        }
-        if (token_matches(start, stop, "all") || token_matches(start, stop, "1") ||
-            token_matches(start, stop, "simd") ||
-            token_matches(start, stop, "on") ||
-            token_matches(start, stop, "true") ||
-            token_matches(start, stop, "yes") ||
-            token_matches(start, stop, kernel_name)) {
-            return true;
-        }
-    }
-    return false;
-}
-
-bool fault_forced(const char* spec, bulk::KernelKind kind) noexcept {
-    if (kind == bulk::KernelKind::Scalar) {
-        return false;
-    }
-    return fault_spec_hits(spec, bulk::kernel_name(kind));
-}
 
 Status selftest_byte_kernel(const bulk::ByteKernel& k, bool force_fault) {
     const char* name = bulk::kernel_name(k.kind);
@@ -316,76 +256,8 @@ Status selftest_word_kernel(const bulk::WordKernel& k, bool force_fault) {
     return Status::good();
 }
 
-ScreenResult screen_dispatch(const bulk::Dispatch& base, const char* fault_spec) {
-    ScreenResult r;
-    r.dispatch = base;
-    // Byte ladder: screen the selected kernel; on failure fall to the next
-    // rung the CPU supports and screen that too.  Scalar terminates the
-    // ladder unscreened — it is the reference semantics.
-    const bulk::ByteKernel* byte = base.byte;
-    while (byte != nullptr && byte->kind != bulk::KernelKind::Scalar) {
-        const bool forced = fault_forced(fault_spec, byte->kind);
-        const Status s = selftest_byte_kernel(*byte, forced);
-        if (s.ok()) {
-            break;
-        }
-        r.quarantined.push_back(KernelCheck{byte->kind, forced, s.detail});
-        // Next rung of gfni > avx2 > ssse3 > scalar that is compiled and
-        // CPU-supported (the same order make_dispatch prefers).
-        const bulk::ByteKernel* next = nullptr;
-        constexpr bulk::KernelKind kByteLadder[] = {bulk::KernelKind::Gfni,
-                                                    bulk::KernelKind::Avx2,
-                                                    bulk::KernelKind::Ssse3};
-        bool below_failed = false;
-        for (const bulk::KernelKind kind : kByteLadder) {
-            if (kind == byte->kind) {
-                below_failed = true;
-                continue;
-            }
-            if (!below_failed) {
-                continue;
-            }
-            if (const auto* k = bulk::byte_kernel(kind);
-                k != nullptr && bulk::kernel_supported(kind, base.cpu)) {
-                next = k;
-                break;
-            }
-        }
-        byte = (next != nullptr) ? next : &bulk::kByteScalar;
-    }
-    r.dispatch.byte = byte;
-    // Word ladder has one rung: vpclmul, whose fallback is the always-on
-    // window-table walk (word == nullptr).
-    if (base.word != nullptr) {
-        const bool forced = fault_forced(fault_spec, base.word->kind);
-        const Status s = selftest_word_kernel(*base.word, forced);
-        if (!s.ok()) {
-            r.quarantined.push_back(KernelCheck{base.word->kind, forced, s.detail});
-            r.dispatch.word = nullptr;
-        }
-    }
-    return r;
-}
-
-namespace {
-// Written once, inside bulk::dispatch()'s magic-static initializer (which
-// serializes concurrent first calls); read-only afterwards.
-std::vector<KernelCheck>& quarantine_store() {
-    static std::vector<KernelCheck> store;
-    return store;
-}
-}  // namespace
-
-bulk::Dispatch screen_and_record(const bulk::Dispatch& base,
-                                 const char* fault_spec) {
-    ScreenResult r = screen_dispatch(base, fault_spec);
-    quarantine_store() = std::move(r.quarantined);
-    return r.dispatch;
-}
-
-const std::vector<KernelCheck>& quarantine_report() {
-    (void)bulk::dispatch();  // force the one-time screening
-    return quarantine_store();
+const std::vector<Quarantine>& quarantine_report() {
+    return bulk::dispatch().quarantined;
 }
 
 }  // namespace gfr::guard

@@ -1,7 +1,8 @@
 #ifndef GFR_GUARD_KERNEL_CHECK_H
 #define GFR_GUARD_KERNEL_CHECK_H
 
-// Golden-vector kernel self-tests and the quarantine ladder.
+// Golden-vector self-tests for the bulk kernel ladders (bulk::kByteLadder,
+// bulk::kWordLadder; the walk itself is guard/ladder.h).
 //
 // Every non-scalar kernel the runtime dispatch selects is screened ONCE, at
 // first dispatch, against an implementation-independent reference:
@@ -18,52 +19,25 @@
 //     unit with the kernel) produces every checked value.
 //
 // A kernel that fails is QUARANTINED: the dispatch is downgraded one rung
-// (avx2 -> ssse3 -> scalar for bytes; vpclmul -> window-table walk for
-// words) and the next rung is screened in turn.  The scalar kernels are the
-// reference semantics and are never screened.  Since every downstream path
-// (RegionEngine, FieldOps region routing) takes its kernels from
+// (gfni -> avx2 -> ssse3 -> scalar for bytes; vpclmul -> window-table walk
+// for words) and the next rung is screened in turn.  The scalar kernels are
+// the reference semantics and are never screened.  Since every downstream
+// path (RegionEngine, FieldOps region routing) takes its kernels from
 // bulk::dispatch(), a quarantined kernel can never touch user data, and the
 // scalar fallback is bit-identical by the engine's differential tests.
 //
 // GFR_GUARD_FAULT deliberately fails self-tests (a bit flipped in the
 // kernel output before comparison) to exercise the quarantine path
-// end-to-end in CI: set it to a kernel name ("ssse3", "avx2", "vpclmul"),
-// a comma-separated list of names, or "all"/"simd"/"1" for every non-scalar
-// kernel.
+// end-to-end in CI: set it to a kernel name ("gfni", "avx2", "ssse3",
+// "vpclmul"), a comma-separated list of names, or "all"/"simd"/"1" for
+// every non-scalar kernel.
 
 #include "bulk/kernels.h"
 #include "guard/status.h"
 
-#include <string>
 #include <vector>
 
 namespace gfr::guard {
-
-/// Environment variable holding the forced-fault spec (read once by
-/// bulk::dispatch(); screen_dispatch takes the value as a parameter so
-/// tests can drive it without mutating the environment).
-inline constexpr const char* kGuardFaultEnv = "GFR_GUARD_FAULT";
-
-/// One quarantine event: which kernel failed screening and why.
-struct KernelCheck {
-    bulk::KernelKind kind = bulk::KernelKind::Scalar;
-    bool forced = false;  ///< failure injected via the GFR_GUARD_FAULT spec
-    std::string detail;   ///< first mismatch, self-test coordinates included
-    [[nodiscard]] std::string to_string() const;
-};
-
-/// True when `spec` (a GFR_GUARD_FAULT value; nullptr/empty mean no forcing)
-/// names `kernel_name` — directly, or via the "all"/"1"/"simd"/"on"/"true"/
-/// "yes" umbrella tokens ("0"/"off"/"false"/"no" tokens are skipped).  The
-/// shared token parser behind fault_forced and the exec-tier
-/// exec_fault_forced, so one spec grammar drives every quarantine drill.
-[[nodiscard]] bool fault_spec_hits(const char* spec,
-                                   const char* kernel_name) noexcept;
-
-/// True when `spec` (a GFR_GUARD_FAULT value; nullptr/empty/"0"/"off" mean
-/// no forcing) demands a forced self-test failure for `kind`.  Scalar is
-/// never forced — it is the reference, not a screened kernel.
-[[nodiscard]] bool fault_forced(const char* spec, bulk::KernelKind kind) noexcept;
 
 /// Screen one byte kernel against the direct nibble-table reference.
 /// `force_fault` flips one output bit before the first comparison.
@@ -75,26 +49,9 @@ struct KernelCheck {
 [[nodiscard]] Status selftest_word_kernel(const bulk::WordKernel& k,
                                           bool force_fault = false);
 
-struct ScreenResult {
-    bulk::Dispatch dispatch;               ///< possibly downgraded selection
-    std::vector<KernelCheck> quarantined;  ///< failures, in screening order
-};
-
-/// Pure screening policy: self-test `base`'s non-scalar kernels, downgrade
-/// past any failure, screen the replacement rung too.  No global state —
-/// this is the function the unit tests drive with synthetic fault specs.
-[[nodiscard]] ScreenResult screen_dispatch(const bulk::Dispatch& base,
-                                           const char* fault_spec = nullptr);
-
-/// screen_dispatch + record the quarantine list for quarantine_report().
-/// Called exactly once, by bulk::dispatch()'s one-time initializer.
-[[nodiscard]] bulk::Dispatch screen_and_record(const bulk::Dispatch& base,
-                                               const char* fault_spec);
-
-/// Kernels quarantined by the process-wide dispatch screening (empty in a
-/// healthy process).  Forces bulk::dispatch() first, so the result is
-/// complete and race-free regardless of call order.
-[[nodiscard]] const std::vector<KernelCheck>& quarantine_report();
+/// Kernels quarantined by the process-wide bulk::dispatch() (empty in a
+/// healthy process): byte rungs first, then the word rung.
+[[nodiscard]] const std::vector<Quarantine>& quarantine_report();
 
 }  // namespace gfr::guard
 

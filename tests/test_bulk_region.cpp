@@ -4,8 +4,8 @@
 // across all Table V fields, with the edge cases vector code gets wrong
 // first — lengths 0/1/odd/just-below-vector-width, unaligned offsets,
 // in-place and aliased spans.  The dispatch policy is pinned pure: for any
-// feature set, make_dispatch may never select a kernel the features don't
-// support, and forcing an unsupported or inapplicable kernel throws.
+// feature set, neither ladder's select() may pick a kernel the features
+// don't support, and forcing an unsupported or inapplicable kernel throws.
 
 #include "bulk/cpu.h"
 #include "bulk/kernels.h"
@@ -35,26 +35,11 @@ const std::vector<std::size_t>& edge_lengths() {
     return lens;
 }
 
-/// Kernel kinds this binary compiled AND this CPU can run, byte family.
+/// Byte kernel kinds this binary compiled AND this CPU can run, Scalar
+/// included (it is checked against element arithmetic too).
 std::vector<KernelKind> runnable_byte_kernels() {
-    std::vector<KernelKind> out;
-    const CpuFeatures cpu = detect_cpu();
-    for (const KernelKind k : compiled_byte_kernels()) {
-        if (kernel_supported(k, cpu)) {
-            out.push_back(k);
-        }
-    }
-    return out;
-}
-
-std::vector<KernelKind> runnable_word_kernels() {
-    std::vector<KernelKind> out;
-    const CpuFeatures cpu = detect_cpu();
-    for (const KernelKind k : compiled_word_kernels()) {
-        if (kernel_supported(k, cpu)) {
-            out.push_back(k);
-        }
-    }
+    std::vector<KernelKind> out = kByteLadder.runnable(detect_cpu());
+    out.push_back(KernelKind::Scalar);
     return out;
 }
 
@@ -91,19 +76,20 @@ TEST(BulkDispatch, NeverSelectsUnsupportedIsa) {
         f.gfni = (bits & 16) != 0;
         f.avx512f = (bits & 32) != 0;
         for (const bool forced : {false, true}) {
-            const Dispatch d = make_dispatch(f, forced);
-            ASSERT_NE(d.byte, nullptr);
-            EXPECT_TRUE(kernel_supported(d.byte->kind, f))
-                << "byte kernel " << kernel_name(d.byte->kind)
+            const ByteKernel* byte = kByteLadder.select(f, forced);
+            const WordKernel* word = kWordLadder.select(f, forced);
+            ASSERT_NE(byte, nullptr);
+            EXPECT_TRUE(kernel_supported(byte->kind, f))
+                << "byte kernel " << kernel_name(byte->kind)
                 << " selected without support (bits=" << bits << ")";
-            if (d.word != nullptr) {
-                EXPECT_TRUE(kernel_supported(d.word->kind, f))
-                    << "word kernel " << kernel_name(d.word->kind)
+            if (word != nullptr) {
+                EXPECT_TRUE(kernel_supported(word->kind, f))
+                    << "word kernel " << kernel_name(word->kind)
                     << " selected without support (bits=" << bits << ")";
             }
             if (forced) {
-                EXPECT_EQ(d.byte->kind, KernelKind::Scalar);
-                EXPECT_EQ(d.word, nullptr);
+                EXPECT_EQ(byte->kind, KernelKind::Scalar);
+                EXPECT_EQ(word, nullptr);
             }
         }
     }
@@ -139,14 +125,13 @@ TEST(BulkDispatch, ForcingInapplicableOrUnsupportedKernelThrows) {
     // Not compiled or not supported by this CPU → throw instead of SIGILL.
     for (const KernelKind k :
          {KernelKind::Ssse3, KernelKind::Avx2, KernelKind::Gfni}) {
-        if (byte_kernel(k) == nullptr || !kernel_supported(k, cpu)) {
+        if (kByteLadder.available(k, cpu) == nullptr) {
             EXPECT_THROW(RegionEngine(f8.ops(), k), std::invalid_argument);
         } else {
             EXPECT_EQ(RegionEngine(f8.ops(), k).byte_kernel_kind(), k);
         }
     }
-    if (word_kernel(KernelKind::Vpclmul) == nullptr ||
-        !kernel_supported(KernelKind::Vpclmul, cpu)) {
+    if (kWordLadder.available(KernelKind::Vpclmul, cpu) == nullptr) {
         EXPECT_THROW(RegionEngine(f64.ops(), KernelKind::Vpclmul),
                      std::invalid_argument);
     } else {
@@ -307,11 +292,7 @@ TEST(BulkRegion, WordKernelsBitIdenticalToScalarAllEdgeCases) {
     Xorshift64Star rng{0xC0FFEE0DDBA11ULL};
     for (const Field& f : word_fields()) {
         const RegionEngine scalar{f.ops(), KernelKind::Scalar};
-        std::vector<KernelKind> kinds = runnable_word_kernels();
-        for (const KernelKind kind : kinds) {
-            if (kind == KernelKind::Scalar) {
-                continue;  // the reference itself
-            }
+        for (const KernelKind kind : kWordLadder.runnable(detect_cpu())) {
             const RegionEngine eng{f.ops(), kind};
             for (const std::size_t n : edge_lengths()) {
                 // +1 element offset: 8-byte aligned, 32-byte unaligned.
@@ -546,8 +527,7 @@ TEST(BulkRegion, PreparedMismatchedEngineThrowsInsteadOfWrongSymbols) {
     EXPECT_THROW(eng8b.scale_region(prep8, bbuf), std::invalid_argument);
     // Same field, different kernel selection (scalar m>8 needs window
     // tables a wide-kernel engine never builds, and vice versa).
-    if (word_kernel(KernelKind::Vpclmul) != nullptr &&
-        kernel_supported(KernelKind::Vpclmul, detect_cpu())) {
+    if (kWordLadder.available(KernelKind::Vpclmul, detect_cpu()) != nullptr) {
         const RegionEngine eng64_wide{f64.ops(), KernelKind::Vpclmul};
         const auto prep_wide = eng64_wide.prepare(std::uint64_t{5});
         const auto prep_scalar = eng64_scalar.prepare(std::uint64_t{5});

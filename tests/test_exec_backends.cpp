@@ -10,23 +10,22 @@
 //   - the fused sweep-oracle rungs pinned against the scalar oracle's diff
 //     words (clean outputs, a single tampered lane bit, fully random
 //     outputs) at every block count;
-//   - the pure dispatch policy (make_exec_dispatch) over all 64 CpuFeatures
+//   - the pure dispatch policy (kTapeLadder.select) over all 64 CpuFeatures
 //     combinations — a vector backend is never selected without ISA support
 //     and forcing scalar always pins scalar;
-//   - the guard quarantine ladder (guard/exec_check.h): golden-tape
-//     self-tests, GFR_GUARD_FAULT spec parsing, forced-fault ladder walks
-//     (avx512 -> avx2 -> scalar), and the process-wide quarantine report;
+//   - the exec family of the guard ladder: golden-tape self-tests
+//     (guard/exec_check.h), rung order avx512 > avx2 and the scalar floor
+//     (the walk itself is pinned in test_guard_dispatch.cpp);
 //   - campaign invariance: verify_multiplier's verdict and counterexample
 //     string are identical across batching widths and backends, both
 //     regimes.
 
 #include "bulk/cpu.h"
-#include "bulk/kernels.h"
 #include "exec/program.h"
 #include "exec/run_kernels.h"
 #include "field/field_catalog.h"
 #include "guard/exec_check.h"
-#include "guard/kernel_check.h"
+#include "guard/ladder.h"
 #include "multipliers/generator.h"
 #include "multipliers/verify.h"
 #include "netlist/simulate.h"
@@ -54,22 +53,17 @@ using testutil::Xorshift64Star;
 /// (portable build, pre-AVX2 hardware); each test then degenerates to its
 /// scalar-only assertions and still passes.
 std::vector<Backend> runnable_vector_backends() {
-    std::vector<Backend> out;
-    const bulk::CpuFeatures cpu = bulk::detect_cpu();
-    for (const Backend b : compiled_tape_backends()) {
-        if (b != Backend::Scalar && backend_supported(b, cpu)) {
-            out.push_back(b);
-        }
-    }
-    return out;
+    return kTapeLadder.runnable(bulk::detect_cpu());
 }
 
 // --- Dispatch tables and policy ----------------------------------------------
 
 TEST(ExecBackends, BackendTablesAreConsistent) {
-    const auto compiled = compiled_tape_backends();
-    ASSERT_FALSE(compiled.empty());
-    EXPECT_EQ(compiled.front(), Backend::Scalar);
+    // The exec family of the guard ladder: avx512 > avx2 over the scalar
+    // floor.
+    EXPECT_EQ(std::vector<Backend>(kTapeLadder.rungs.begin(), kTapeLadder.rungs.end()),
+              (std::vector<Backend>{Backend::Avx512, Backend::Avx2}));
+    EXPECT_EQ(kTapeLadder.floor, &kTapeScalar);
 
     EXPECT_EQ(tape_kernel(Backend::Scalar), &kTapeScalar);
     EXPECT_EQ(kTapeScalar.backend, Backend::Scalar);
@@ -99,18 +93,9 @@ TEST(ExecBackends, BackendTablesAreConsistent) {
     } else {
         EXPECT_EQ(tape_kernel(Backend::Avx512), nullptr);
     }
-
-    // Every compiled backend is listed exactly once, resolvable, and ships
-    // both halves of the kernel pair (tape executor + fused sweep oracle).
-    for (const Backend b : compiled) {
-        const TapeKernel* k = tape_kernel(b);
-        ASSERT_NE(k, nullptr) << backend_name(b);
-        EXPECT_EQ(k->backend, b);
-        EXPECT_NE(k->oracle, nullptr) << backend_name(b);
-    }
 }
 
-TEST(ExecBackends, MakeExecDispatchNeverSelectsUnsupportedIsa) {
+TEST(ExecBackends, LadderSelectNeverSelectsUnsupportedIsa) {
     // All 64 feature combinations (every CpuFeatures field), forced and
     // unforced: the selected executor's ISA must be within the features,
     // forcing scalar must pin scalar, and among the allowed compiled
@@ -124,12 +109,11 @@ TEST(ExecBackends, MakeExecDispatchNeverSelectsUnsupportedIsa) {
         f.gfni = (bits & 16) != 0;
         f.avx512f = (bits & 32) != 0;
         for (const bool forced : {false, true}) {
-            const ExecDispatch d = make_exec_dispatch(f, forced);
-            ASSERT_NE(d.kernel, nullptr);
-            ASSERT_NE(d.kernel->run, nullptr);
-            EXPECT_EQ(d.forced_scalar, forced);
-            EXPECT_TRUE(backend_supported(d.kernel->backend, f))
-                << backend_name(d.kernel->backend)
+            const TapeKernel* k = kTapeLadder.select(f, forced);
+            ASSERT_NE(k, nullptr);
+            ASSERT_NE(k->run, nullptr);
+            EXPECT_TRUE(backend_supported(k->backend, f))
+                << backend_name(k->backend)
                 << " selected without support (bits=" << bits << ")";
             Backend want = Backend::Scalar;
             if (!forced) {
@@ -139,7 +123,7 @@ TEST(ExecBackends, MakeExecDispatchNeverSelectsUnsupportedIsa) {
                     want = Backend::Avx2;
                 }
             }
-            EXPECT_EQ(d.kernel->backend, want) << "bits=" << bits;
+            EXPECT_EQ(k->backend, want) << "bits=" << bits;
         }
     }
 }
@@ -152,7 +136,7 @@ TEST(ExecBackends, ProcessDispatchMatchesEnvironmentPolicy) {
     ASSERT_NE(d.kernel, nullptr);
     EXPECT_TRUE(backend_supported(d.kernel->backend, bulk::detect_cpu()));
     const char* env = std::getenv(kExecForceScalarEnv);
-    if (bulk::env_flag_enabled(env)) {
+    if (guard::env_flag_enabled(env)) {
         EXPECT_TRUE(d.forced_scalar);
         EXPECT_EQ(d.kernel->backend, Backend::Scalar);
     } else {
@@ -380,7 +364,7 @@ TEST(ExecBackends, UnavailableBackendThrowsPinnedMessage) {
     std::vector<std::uint64_t> out(1);
     const bulk::CpuFeatures cpu = bulk::detect_cpu();
     for (const Backend backend : {Backend::Avx2, Backend::Avx512}) {
-        if (tape_kernel(backend) != nullptr && backend_supported(backend, cpu)) {
+        if (kTapeLadder.available(backend, cpu) != nullptr) {
             continue;
         }
         try {
@@ -394,33 +378,6 @@ TEST(ExecBackends, UnavailableBackendThrowsPinnedMessage) {
 }
 
 // --- Guard: fault specs, self-tests, quarantine ladder -----------------------
-
-TEST(ExecBackends, FaultSpecParsing) {
-    // exec rungs answer to "exec-<name>" and the umbrella tokens, never to
-    // the bulk kernel names, and scalar is never forced.
-    EXPECT_TRUE(guard::exec_fault_forced("exec-avx2", Backend::Avx2));
-    EXPECT_TRUE(guard::exec_fault_forced("exec-avx512", Backend::Avx512));
-    EXPECT_TRUE(guard::exec_fault_forced("EXEC-AVX512", Backend::Avx512));
-    EXPECT_FALSE(guard::exec_fault_forced("exec-avx512", Backend::Avx2));
-    EXPECT_FALSE(guard::exec_fault_forced("exec-avx2", Backend::Avx512));
-    EXPECT_FALSE(guard::exec_fault_forced("avx2", Backend::Avx2));
-    EXPECT_FALSE(guard::exec_fault_forced("gfni", Backend::Avx2));
-    for (const char* umbrella : {"all", "1", "simd", "on", "true", "yes"}) {
-        EXPECT_TRUE(guard::exec_fault_forced(umbrella, Backend::Avx2)) << umbrella;
-        EXPECT_TRUE(guard::exec_fault_forced(umbrella, Backend::Avx512)) << umbrella;
-        EXPECT_FALSE(guard::exec_fault_forced(umbrella, Backend::Scalar)) << umbrella;
-    }
-    EXPECT_FALSE(guard::exec_fault_forced(nullptr, Backend::Avx2));
-    for (const char* off : {"", "0", "off", "false", "no"}) {
-        EXPECT_FALSE(guard::exec_fault_forced(off, Backend::Avx2)) << off;
-    }
-    // Comma lists: any matching token forces.
-    EXPECT_TRUE(guard::exec_fault_forced("gfni,exec-avx2", Backend::Avx2));
-    EXPECT_FALSE(guard::exec_fault_forced("gfni,vpclmul", Backend::Avx2));
-    // The shared parser behind both tiers agrees on the bulk names too.
-    EXPECT_TRUE(guard::fault_spec_hits("exec-avx2,gfni", "gfni"));
-    EXPECT_FALSE(guard::fault_spec_hits("exec-avx2", "avx2"));
-}
 
 TEST(ExecBackends, SelfTestPassesAndDetectsForcedFault) {
     // Every runnable backend (scalar included) passes the golden-tape
@@ -438,77 +395,32 @@ TEST(ExecBackends, SelfTestPassesAndDetectsForcedFault) {
     }
 }
 
-TEST(ExecBackends, ScreenLadderWalksDownPastForcedFaults) {
-    // Drive the pure screening policy with synthetic fault specs against
-    // the real selection for this CPU: forcing the top rung lands on the
-    // next runnable one, forcing everything lands on scalar, and a null
-    // spec quarantines nothing.
+TEST(ExecBackends, ScreenLandsOnPolicyOrScalarFloor) {
+    // Clean, the screen keeps the policy's choice; forcing every rung lands
+    // on the scalar floor with one quarantine per runnable backend, best
+    // first; forcing scalar screens nothing.
     const bulk::CpuFeatures cpu = bulk::detect_cpu();
-    const ExecDispatch base = make_exec_dispatch(cpu, false);
-
-    const auto clean = guard::screen_exec_dispatch(base, nullptr);
+    const ExecDispatch clean = screen_exec_dispatch(cpu, false, nullptr);
     EXPECT_TRUE(clean.quarantined.empty());
-    EXPECT_EQ(clean.dispatch.kernel, base.kernel);
+    EXPECT_EQ(clean.kernel, kTapeLadder.select(cpu, false));
 
-    const auto all = guard::screen_exec_dispatch(base, "all");
-    EXPECT_EQ(all.dispatch.kernel->backend, Backend::Scalar);
-    // One quarantine entry per non-scalar rung the ladder had to walk.
-    const auto runnable = runnable_vector_backends();
-    std::size_t walked = 0;
-    for (const Backend b : runnable) {
-        walked += (static_cast<int>(b) <= static_cast<int>(base.kernel->backend))
-                      ? 1U
-                      : 0U;
+    const ExecDispatch all = screen_exec_dispatch(cpu, false, "all");
+    EXPECT_EQ(all.kernel, &kTapeScalar);
+    std::vector<std::string> want;
+    for (const Backend b : runnable_vector_backends()) {
+        want.push_back(std::string{"exec-"} + backend_name(b));
     }
-    EXPECT_EQ(all.quarantined.size(), walked);
+    std::vector<std::string> got;
     for (const auto& q : all.quarantined) {
         EXPECT_TRUE(q.forced);
-        EXPECT_NE(q.backend, Backend::Scalar);
         EXPECT_NE(q.to_string().find("forced by"), std::string::npos);
+        got.push_back(q.rung);
     }
+    EXPECT_EQ(got, want);
 
-    if (base.kernel->backend == Backend::Scalar) {
-        return;  // nothing above scalar on this host; ladder fully covered
-    }
-    // Force only the top rung: the selection degrades exactly one step (to
-    // the next runnable backend, scalar at worst) and quarantines one rung.
-    char top_token[32];
-    std::snprintf(top_token, sizeof top_token, "exec-%s",
-                  backend_name(base.kernel->backend));
-    const auto one = guard::screen_exec_dispatch(base, top_token);
-    ASSERT_EQ(one.quarantined.size(), 1U);
-    EXPECT_EQ(one.quarantined[0].backend, base.kernel->backend);
-    Backend next = Backend::Scalar;
-    for (const Backend b : runnable) {
-        if (static_cast<int>(b) < static_cast<int>(base.kernel->backend) &&
-            static_cast<int>(b) > static_cast<int>(next)) {
-            next = b;
-        }
-    }
-    EXPECT_EQ(one.dispatch.kernel->backend, next);
-}
-
-TEST(ExecBackends, QuarantineReportMatchesEnvironment) {
-    // The process-wide exec dispatch was screened on first use with
-    // whatever GFR_GUARD_FAULT the environment carries (the CI drill sets
-    // it; the regular run does not).
-    const char* spec = std::getenv(guard::kGuardFaultEnv);
-    const auto& report = guard::exec_quarantine_report();
-    if (spec == nullptr || *spec == '\0') {
-        EXPECT_TRUE(report.empty());
-        return;
-    }
-    // Under a forced-fault spec every quarantined rung was forced, none is
-    // scalar, and the surviving dispatch still answers (scalar at worst)
-    // with bit-identical results — the differential tests above already ran
-    // against it in this same process.
-    ASSERT_NE(dispatch().kernel, nullptr);
-    for (const auto& q : report) {
-        EXPECT_TRUE(q.forced);
-        EXPECT_NE(q.backend, Backend::Scalar);
-        EXPECT_TRUE(guard::exec_fault_forced(spec, q.backend))
-            << backend_name(q.backend);
-    }
+    const ExecDispatch pinned = screen_exec_dispatch(cpu, true, "all");
+    EXPECT_TRUE(pinned.quarantined.empty());
+    EXPECT_EQ(pinned.kernel, &kTapeScalar);
 }
 
 // --- Campaign invariance across widths and backends --------------------------
