@@ -8,7 +8,8 @@
 //               re-created locally so the trajectory survives the divmod fix;
 //   *_reference the current reference path (comb product + in-place divmod);
 //   *_engine    the fixed-modulus fast engine (FieldOps: sparse shift-XOR
-//               reduction, single-word u64 kernels, region tables).
+//               reduction, single-word u64 kernels); the region row runs
+//               bulk::RegionEngine over the same FieldOps.
 //
 // PR 2 adds the large-field tier on top: an inversion sweep over every
 // Table V field (extended Euclid vs the engine's Itoh-Tsujii chain) and the
@@ -18,6 +19,7 @@
 // Results go to stdout as a table and to BENCH_2.json (path overridable as
 // argv[1]) as machine-readable ns/op so future PRs have a perf trajectory.
 
+#include "bulk/region_engine.h"
 #include "field/field_catalog.h"
 #include "field/field_ops.h"
 #include "gf2/pentanomial.h"
@@ -237,28 +239,27 @@ void bench_field(const Field& f) {
                                         },
                                         40.0) /
                                         static_cast<double>(kRegion));
-    if (f.ops().single_word()) {
-        std::vector<std::uint64_t> words(kRegion);
-        for (std::size_t i = 0; i < kRegion; ++i) {
-            words[i] = f.to_bits(elems[i]);
-        }
-        const field::ConstMultiplier cm{f.ops(), f.to_bits(b)};
-        record("region_const_tables", m, measure_ns(
-                                             [&] {
-                                                 cm.mul_region(words);
-                                                 return words[0];
-                                             },
-                                             40.0) /
-                                             static_cast<double>(kRegion));
-    } else {
-        record("region_const_engine", m, measure_ns(
-                                             [&] {
-                                                 f.mul_region_const(b, elems);
-                                                 return checksum(elems[0]);
-                                             },
-                                             40.0) /
-                                             static_cast<double>(kRegion));
+    // The same region through bulk::RegionEngine: the u64 layout for
+    // m <= 64, elem_words() words per symbol above.
+    const bulk::RegionEngine eng{f.ops()};
+    const auto prep = eng.prepare(b);
+    const std::size_t ew = f.ops().elem_words();
+    std::vector<std::uint64_t> words(kRegion * ew, 0);
+    for (std::size_t i = 0; i < kRegion; ++i) {
+        const auto w = elems[i].words();
+        std::copy(w.begin(), w.end(), words.begin() + static_cast<long>(i * ew));
     }
+    record("region_engine", m, measure_ns(
+                                   [&] {
+                                       if (eng.single_word()) {
+                                           eng.scale_region(prep, words);
+                                       } else {
+                                           eng.mul_region_mw(prep, words, words);
+                                       }
+                                       return words[0];
+                                   },
+                                   40.0) /
+                                   static_cast<double>(kRegion));
     std::printf("\n");
 }
 

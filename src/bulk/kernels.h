@@ -5,13 +5,11 @@
 // GF(2^m) engine, plus the process-wide runtime dispatch that selects them.
 //
 // This header includes only bulk/cpu.h and guard/ladder.h (which itself
-// includes only bulk/cpu.h and guard/status.h), so the field layer
-// (FieldOps / ConstMultiplier region routing) can sit on top of it while
-// bulk::RegionEngine — the traffic-shaped API in bulk/region_engine.h —
-// sits on top of the field layer.  Two sublayers, one directory:
-//
-//     bulk/kernels.*      (ISA kernels + dispatch; below src/field)
-//     bulk/region_engine.* (streaming API over FieldOps; above src/field)
+// includes only bulk/cpu.h and guard/status.h).  src/field names one type
+// from it — WideParams, which FieldOps::wide_params() fills — and calls
+// nothing here.  bulk::RegionEngine (bulk/region_engine.h), the streaming
+// API on top of FieldOps, is the one route from callers to these kernels
+// and the one builder of their per-constant state.
 //
 // Kernel families and the per-constant state they consume:
 //
@@ -35,8 +33,8 @@
 //     elements per pass on the 256-bit VPCLMULQDQ path.  WideParams carries
 //     the reduction structure; no per-constant tables.
 //   - The portable scalar u64 kernel is the 4-bit window-table walk
-//     (word_mul_windows / word_addmul_windows), the same technique
-//     ConstMultiplier has used since PR 1 — always compiled, bit-identical
+//     (word_mul_windows / word_addmul_windows): per-constant tables of
+//     c * (v << 4w), one lookup per window — always compiled, bit-identical
 //     reference for every SIMD kernel.
 //
 // Aliasing contract (all kernels): dst may equal src exactly (in-place), or
@@ -76,7 +74,7 @@ enum class KernelKind : std::uint8_t { Scalar, Ssse3, Avx2, Vpclmul, Gfni };
 /// for every 4-bit v, all canonical field bytes.  `matrix` is the same
 /// linear map y -> c*y packed for GF2P8AFFINEQB: byte 7-i of the qword is
 /// row i, whose bit j is bit i of c*y^j mod f — so output bit i is the
-/// parity of (row i AND input byte).  Builders (FieldOps::nibble_tables)
+/// parity of (row i AND input byte).  The builder (RegionEngine::prepare)
 /// must keep matrix and lo/hi consistent; the GFNI kernel uses the matrix
 /// for its vector body and the tables for the scalar tail.
 struct NibbleTables {
@@ -98,10 +96,9 @@ struct WideParams {
     int folds = 1;
 };
 
-/// Wide-kernel eligibility bound shared by every routing site (FieldOps,
-/// ConstMultiplier, RegionEngine): past this fold count the window-table
-/// walk beats the branch-free wide kernel (dense or high-tailed moduli;
-/// every paper-catalog field folds in 2-3).
+/// Wide-kernel eligibility bound for RegionEngine's u64 routing: past this
+/// fold count the window-table walk beats the branch-free wide kernel
+/// (dense or high-tailed moduli; every paper-catalog field folds in 2-3).
 inline constexpr int kMaxWideFolds = 4;
 
 /// dst[i] = table-product of src[i]; `addmul` variants XOR into dst instead.
@@ -111,12 +108,6 @@ using ByteRegionFn = void (*)(const NibbleTables& t, const std::uint8_t* src,
 /// dst[i] = c * src[i] (or ^= for addmul) over canonical u64 elements.
 using WordRegionFn = void (*)(const WideParams& p, const std::uint64_t* src,
                               std::uint64_t* dst, std::size_t n);
-
-/// dst[i] = a[i] * b[i] over arbitrary u64 operands (reduced like
-/// FieldOps::mul); used by FieldOps::mul_region.
-using WordElementwiseFn = void (*)(const WideParams& p, const std::uint64_t* a,
-                                   const std::uint64_t* b, std::uint64_t* dst,
-                                   std::size_t n);
 
 struct ByteKernel {
     KernelKind kind = KernelKind::Scalar;
@@ -128,7 +119,6 @@ struct WordKernel {
     KernelKind kind = KernelKind::Scalar;
     WordRegionFn mul = nullptr;
     WordRegionFn addmul = nullptr;
-    WordElementwiseFn mul_elementwise = nullptr;
 };
 
 // --- Portable scalar kernels (always compiled) -------------------------------
@@ -138,7 +128,7 @@ extern const ByteKernel kByteScalar;
 
 /// Scalar u64 const-multiply via per-constant 4-bit window tables
 /// (`table[w*16 + v]` = c * (v << 4w) mod f, `windows` = ceil(m/4) of them):
-/// the PR-1 ConstMultiplier walk, kept as the always-available reference.
+/// RegionEngine's scalar u64 rung and the word family's floor.
 void word_mul_windows(const std::uint64_t* table, int windows,
                       const std::uint64_t* src, std::uint64_t* dst,
                       std::size_t n) noexcept;

@@ -4,7 +4,7 @@
 // bit matrix M with output bit i = parity(M.row[i] AND input) — exactly
 // what GF2P8AFFINEQB computes (row i lives in qword byte 7-i, imm8 = 0).
 // Unlike GF2P8MULB this does NOT bake in the AES polynomial: the modulus is
-// encoded in the matrix by the table builder (FieldOps::nibble_tables), so
+// encoded in the matrix by the table builder (RegionEngine::prepare), so
 // the kernel serves every degree-<=8 field in the catalog.
 //
 // The VEX 256-bit form also needs AVX2 for the addmul XOR, which is why

@@ -7,10 +7,9 @@
 // canonical product degree) so the loop is branch-free.
 //
 // A residual test (VPTEST) then proves every lane canonical; inputs outside
-// the canonical contract — legal for the elementwise entry point, which
-// mirrors FieldOps::mul_region's any-u64 semantics — fail the test and that
-// group of four is redone through the scalar PCLMUL helper, which is the
-// unbounded FieldOps::reduce loop verbatim.
+// the canonical contract fail the test and that group of four is redone
+// through the scalar PCLMUL helper, which is the unbounded FieldOps::reduce
+// loop verbatim.
 //
 // Compiled with -mvpclmulqdq -mavx2 -mpclmul only in this translation unit;
 // the dispatch calls in here only after runtime CPUID reports VPCLMULQDQ
@@ -184,54 +183,8 @@ void word_addmul_vpclmul(const WideParams& p, const std::uint64_t* src,
     }
 }
 
-void word_mul_elementwise_vpclmul(const WideParams& p, const std::uint64_t* a,
-                                  const std::uint64_t* b, std::uint64_t* dst,
-                                  std::size_t n) {
-    const VCtx v = make_ctx(p);
-    // Unlike the const-mul kernels (canonical-operand contract), this entry
-    // point mirrors FieldOps::mul_region and accepts any u64s.  The vector
-    // fold only tracks excess bits below m+64, so groups with a
-    // non-canonical operand (for m < 64 their product can carry higher
-    // excess) are detected up front and redone through the unbounded scalar
-    // reduce.  For m == 64 every u64 is canonical and the test never fires.
-    const __m256i elem = _mm256_set1_epi64x(static_cast<long long>(p.elem_mask));
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i x =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-        const __m256i y =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-        const __m256i noncanon = _mm256_or_si256(
-            _mm256_andnot_si256(elem, x), _mm256_andnot_si256(elem, y));
-        if (_mm256_testz_si256(noncanon, noncanon) == 0) {
-            for (int k = 0; k < 4; ++k) {
-                const auto j = i + static_cast<std::size_t>(k);
-                dst[j] = mul1(p, a[j], b[j]);
-            }
-            continue;
-        }
-        const __m256i pe =
-            reduce_pair(_mm256_clmulepi64_epi128(x, y, 0x00), v);
-        const __m256i po =
-            reduce_pair(_mm256_clmulepi64_epi128(x, y, 0x11), v);
-        if (residual(pe, po, v)) {
-            for (int k = 0; k < 4; ++k) {
-                const auto j = i + static_cast<std::size_t>(k);
-                dst[j] = mul1(p, a[j], b[j]);
-            }
-            continue;
-        }
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                            _mm256_unpacklo_epi64(pe, po));
-    }
-    for (; i < n; ++i) {
-        dst[i] = mul1(p, a[i], b[i]);
-    }
-}
-
 const WordKernel kWordVpclmul{KernelKind::Vpclmul, &word_mul_vpclmul,
-                              &word_addmul_vpclmul,
-                              &word_mul_elementwise_vpclmul};
+                              &word_addmul_vpclmul};
 
 }  // namespace
 

@@ -78,6 +78,48 @@ void RegionEngine::init_kernels(KernelKind forced, bool have_forced) {
     throw std::invalid_argument{"RegionEngine: unknown kernel kind"};
 }
 
+namespace {
+
+/// Byte-kernel state for a canonical constant c (m <= 8): the nibble
+/// products lo[v] = c*v and hi[v] = c*(v << 4), plus the same map packed
+/// for GF2P8AFFINEQB.
+NibbleTables nibble_tables(const field::FieldOps& ops, std::uint64_t c) {
+    NibbleTables t;
+    for (std::uint64_t v = 0; v < 16; ++v) {
+        t.lo[v] = static_cast<std::uint8_t>(ops.mul(c, v));
+        t.hi[v] = static_cast<std::uint8_t>(ops.mul(c, v << 4));
+    }
+    // Matrix byte 7-i is row i, whose bit j is bit i of c * y^j mod f — the
+    // columns of the linear map y -> c*y.  Output bit i of the transform is
+    // then parity(row i AND input byte), which is that map exactly.
+    for (int j = 0; j < 8; ++j) {
+        const std::uint64_t col = ops.mul(c, std::uint64_t{1} << j);
+        for (int i = 0; i < 8; ++i) {
+            if ((col >> i) & 1U) {
+                t.matrix |= std::uint64_t{1} << ((7 - i) * 8 + j);
+            }
+        }
+    }
+    return t;
+}
+
+/// Window tables of the scalar u64 walk for a canonical constant c:
+/// ceil(m/4) x 16 entries, table[w*16 + v] = c * (v << 4w) mod f.
+std::vector<std::uint64_t> window_tables(const field::FieldOps& ops,
+                                         std::uint64_t c) {
+    const int windows = (ops.degree() + 3) / 4;
+    std::vector<std::uint64_t> table(static_cast<std::size_t>(windows) * 16, 0);
+    for (int w = 0; w < windows; ++w) {
+        for (std::uint64_t v = 1; v < 16; ++v) {
+            table[static_cast<std::size_t>(w) * 16 + v] =
+                ops.mul(c, ops.reduce(0, v << (4 * w)));
+        }
+    }
+    return table;
+}
+
+}  // namespace
+
 RegionEngine::Prepared RegionEngine::prepare(std::uint64_t c) const {
     if (!single_word()) {
         throw std::invalid_argument{
@@ -88,7 +130,7 @@ RegionEngine::Prepared RegionEngine::prepare(std::uint64_t c) const {
     p.ops_ = ops_;
     p.m_ = m_;
     if (m_ <= 8) {
-        p.nibbles_ = ops_->nibble_tables(p.c_);
+        p.nibbles_ = nibble_tables(*ops_, p.c_);
     }
     if (u16_capable()) {
         // Split-byte tables for the u16 layout: symbol s maps to
@@ -104,14 +146,12 @@ RegionEngine::Prepared RegionEngine::prepare(std::uint64_t c) const {
         p.wide_ = ops_->wide_params(p.c_);
         p.has_wide_ = true;
     } else if (m_ > 8 || byte_kernel_->kind == KernelKind::Scalar) {
-        // Scalar u64 path: 4-bit window tables (the ConstMultiplier walk,
-        // built by the same FieldOps::window_tables the ConstMultiplier
-        // uses, so the two can never diverge).  Built for m <= 8 too when
-        // the byte dispatch is scalar: the window walk costs 2 lookups per
-        // u64 symbol where the scalar byte kernel over the 8-byte layout
-        // would pay 16.
+        // Scalar u64 path: the 4-bit window walk.  Built for m <= 8 too
+        // when the byte dispatch is scalar: the window walk costs 2 lookups
+        // per u64 symbol where the scalar byte kernel over the 8-byte
+        // layout would pay 16.
         p.n_windows_ = (m_ + 3) / 4;
-        p.windows_ = ops_->window_tables(p.c_);
+        p.windows_ = window_tables(*ops_, p.c_);
     }
     return p;
 }
@@ -334,31 +374,6 @@ void RegionEngine::addmul_region(const Prepared& p,
 void RegionEngine::scale_region(const Prepared& p,
                                 std::span<std::uint64_t> data) const {
     word_call(false, p, data.data(), data.data(), data.size());
-}
-
-void RegionEngine::mul_region_elementwise(std::span<const std::uint64_t> a,
-                                          std::span<const std::uint64_t> b,
-                                          std::span<std::uint64_t> out) const {
-    if (a.size() != b.size() || a.size() != out.size()) {
-        throw std::invalid_argument{
-            "RegionEngine::mul_region_elementwise: length mismatch"};
-    }
-    if (!single_word()) {
-        throw std::invalid_argument{
-            "RegionEngine::mul_region_elementwise: requires m <= 64"};
-    }
-    check_no_partial_overlap(a.data(), out.data(), a.size_bytes(),
-                             "RegionEngine::mul_region_elementwise");
-    check_no_partial_overlap(b.data(), out.data(), b.size_bytes(),
-                             "RegionEngine::mul_region_elementwise");
-    if (word_kernel_ != nullptr) {
-        word_kernel_->mul_elementwise(ops_->wide_params(0), a.data(), b.data(),
-                                      out.data(), a.size());
-        return;
-    }
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        out[i] = ops_->mul(a[i], b[i]);
-    }
 }
 
 // --- ABFT checksum lanes -----------------------------------------------------

@@ -13,7 +13,7 @@
 //   addmul_region(prep, src, dst)  dst[i] ^= c * src[i]
 //   scale_region(prep, data)       data[i] = c * data[i]   (in place)
 //
-// over three element layouts:
+// over four element layouts:
 //
 //   - byte spans (fields with m <= 8): one symbol per byte — the dense
 //     layout bulk byte traffic actually uses;
@@ -21,8 +21,7 @@
 //     dense layout of the GF(2^16) erasure-codec tier (PAR2-style fields);
 //     served by per-constant split-byte tables (lo[v] = c*v, hi[v] =
 //     c*(v<<8); two lookups + XOR per symbol);
-//   - u64 spans (any single-word field): one canonical element per word,
-//     the layout of every existing FieldOps/ConstMultiplier region API;
+//   - u64 spans (any single-word field): one canonical element per word;
 //   - multi-word spans (m > 64): elem_words() consecutive words per
 //     symbol, span length a multiple of elem_words().
 //
@@ -159,12 +158,6 @@ public:
     void addmul_region(const Prepared& p, std::span<const std::uint64_t> src,
                        std::span<std::uint64_t> dst) const;
     void scale_region(const Prepared& p, std::span<std::uint64_t> data) const;
-
-    /// out[i] = a[i] * b[i] (element-wise, any u64 operands — the
-    /// FieldOps::mul_region semantics, served by the same dispatch).
-    void mul_region_elementwise(std::span<const std::uint64_t> a,
-                                std::span<const std::uint64_t> b,
-                                std::span<std::uint64_t> out) const;
 
     // --- ABFT checksum lanes (single-word layouts) ---------------------------
     // Algorithm-based fault tolerance over the linearity of the region ops:

@@ -103,49 +103,6 @@ std::uint64_t FieldOps::inv_fermat(std::uint64_t a) const {
     return result;
 }
 
-void FieldOps::mul_region(std::span<const std::uint64_t> a,
-                          std::span<const std::uint64_t> b,
-                          std::span<std::uint64_t> out) const {
-    if (a.size() != b.size() || a.size() != out.size()) {
-        throw std::invalid_argument{"FieldOps::mul_region: span length mismatch"};
-    }
-    if (single_word() && fold_bound_ <= bulk::kMaxWideFolds) {
-        if (const bulk::WordKernel* k = bulk::dispatch().word; k != nullptr) {
-            k->mul_elementwise(wide_params(0), a.data(), b.data(), out.data(),
-                               a.size());
-            return;
-        }
-    }
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        out[i] = mul(a[i], b[i]);
-    }
-}
-
-void FieldOps::mul_region_const(std::uint64_t c, std::span<std::uint64_t> data) const {
-    // This per-call entry point skips the full ConstMultiplier build where
-    // the dispatched kernel needs less: the byte kernels only want the 32
-    // nibble products (not the window tables), and the wide carry-less
-    // kernel needs no per-constant tables at all.
-    if (m_ <= 8) {
-        if (const bulk::ByteKernel* k = bulk::dispatch().byte;
-            k->kind != bulk::KernelKind::Scalar) {
-            const bulk::NibbleTables t = nibble_tables(c);
-            k->mul(t, reinterpret_cast<const std::uint8_t*>(data.data()),
-                   reinterpret_cast<std::uint8_t*>(data.data()),
-                   data.size() * sizeof(std::uint64_t));
-            return;
-        }
-    } else if (single_word() && fold_bound_ <= bulk::kMaxWideFolds) {
-        if (const bulk::WordKernel* k = bulk::dispatch().word; k != nullptr) {
-            k->mul(wide_params(reduce(0, c)), data.data(), data.data(),
-                   data.size());
-            return;
-        }
-    }
-    const ConstMultiplier cm{*this, c};
-    cm.mul_region(data);
-}
-
 namespace {
 
 /// dst (2n words) = square of (src, n words): interleave each bit with zero.
@@ -387,109 +344,6 @@ void FieldOps::reduce_in_place(gf2::Poly& p, Scratch& scratch) const {
     std::copy(pw.begin(), pw.end(), scratch.wtmp.begin());
     reduce_words(scratch.wtmp.data(), pn);
     p.assign_words({scratch.wtmp.data(), elem_words()});
-}
-
-bulk::NibbleTables FieldOps::nibble_tables(std::uint64_t c) const {
-    if (m_ > 8) {
-        throw std::invalid_argument{
-            "FieldOps::nibble_tables: requires degree <= 8"};
-    }
-    const std::uint64_t cc = reduce(0, c);
-    bulk::NibbleTables t;
-    for (std::uint64_t v = 0; v < 16; ++v) {
-        t.lo[v] = static_cast<std::uint8_t>(mul(cc, v));
-        t.hi[v] = static_cast<std::uint8_t>(mul(cc, v << 4));
-    }
-    // The same map packed for GF2P8AFFINEQB (the GFNI byte kernel): matrix
-    // byte 7-i is row i, whose bit j is bit i of c * y^j mod f — the
-    // columns of the linear map y -> c*y.  Output bit i of the transform is
-    // then parity(row i AND input byte), which is that map exactly.
-    t.matrix = 0;
-    for (int j = 0; j < 8; ++j) {
-        const std::uint64_t col = mul(cc, std::uint64_t{1} << j);
-        for (int i = 0; i < 8; ++i) {
-            if ((col >> i) & 1U) {
-                t.matrix |= std::uint64_t{1} << ((7 - i) * 8 + j);
-            }
-        }
-    }
-    return t;
-}
-
-std::vector<std::uint64_t> FieldOps::window_tables(std::uint64_t c) const {
-    if (!single_word()) {
-        throw std::invalid_argument{
-            "FieldOps::window_tables: requires a single-word field"};
-    }
-    const std::uint64_t cc = reduce(0, c);
-    const int windows = (m_ + 3) / 4;
-    std::vector<std::uint64_t> table(static_cast<std::size_t>(windows) * 16, 0);
-    for (int w = 0; w < windows; ++w) {
-        for (std::uint64_t v = 1; v < 16; ++v) {
-            table[static_cast<std::size_t>(w) * 16 + v] =
-                mul(cc, reduce(0, v << (4 * w)));
-        }
-    }
-    return table;
-}
-
-ConstMultiplier::ConstMultiplier(const FieldOps& ops, std::uint64_t c) {
-    if (!ops.single_word()) {
-        throw std::invalid_argument{
-            "ConstMultiplier: requires a single-word field (m <= 64)"};
-    }
-    c_ = ops.reduce(0, c);  // canonicalise so constant() reports a field element
-    windows_ = (ops.degree() + 3) / 4;
-    table_ = ops.window_tables(c_);
-    // Resolve the bulk region kernels once.  Byte kernels (m <= 8) run the
-    // nibble shuffle directly over the u64 layout: canonical elements keep
-    // their top seven bytes zero and table[0] == 0 maps them to zero.
-    const bulk::Dispatch& d = bulk::dispatch();
-    if (ops.degree() <= 8) {
-        nibbles_ = ops.nibble_tables(c_);
-        if (d.byte->kind != bulk::KernelKind::Scalar) {
-            byte_kernel_ = d.byte;
-        }
-    } else if (d.word != nullptr && ops.fold_bound() <= bulk::kMaxWideFolds) {
-        word_kernel_ = d.word;
-        wide_ = ops.wide_params(c_);
-    }
-}
-
-void ConstMultiplier::mul_region(std::span<std::uint64_t> data) const noexcept {
-    if (byte_kernel_ != nullptr) {
-        byte_kernel_->mul(nibbles_,
-                          reinterpret_cast<const std::uint8_t*>(data.data()),
-                          reinterpret_cast<std::uint8_t*>(data.data()),
-                          data.size() * sizeof(std::uint64_t));
-        return;
-    }
-    if (word_kernel_ != nullptr) {
-        word_kernel_->mul(wide_, data.data(), data.data(), data.size());
-        return;
-    }
-    bulk::word_mul_windows(table_.data(), windows_, data.data(), data.data(),
-                           data.size());
-}
-
-void ConstMultiplier::mul_region(std::span<const std::uint64_t> in,
-                                 std::span<std::uint64_t> out) const {
-    if (in.size() != out.size()) {
-        throw std::invalid_argument{"ConstMultiplier::mul_region: span length mismatch"};
-    }
-    if (byte_kernel_ != nullptr) {
-        byte_kernel_->mul(nibbles_,
-                          reinterpret_cast<const std::uint8_t*>(in.data()),
-                          reinterpret_cast<std::uint8_t*>(out.data()),
-                          in.size() * sizeof(std::uint64_t));
-        return;
-    }
-    if (word_kernel_ != nullptr) {
-        word_kernel_->mul(wide_, in.data(), out.data(), in.size());
-        return;
-    }
-    bulk::word_mul_windows(table_.data(), windows_, in.data(), out.data(),
-                           in.size());
 }
 
 }  // namespace gfr::field

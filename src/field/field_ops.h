@@ -18,18 +18,17 @@
 //     add_shifted) and reuses an internal excess scratch, so steady-state
 //     multiplies do no heap work beyond the caller's output element.
 //
-// ConstMultiplier serves bulk "region" traffic (Reed-Solomon encoding,
-// verification sweeps): one constant multiplied across many elements via
-// per-constant 4-bit window tables, the classic software-GF technique
-// (cf. ParPar's fast-GF-multiplication notes).
-//
 // Thread-safety: FieldOps is immutable after construction; every operation
 // is const.  The multi-word (m > 64) path needs working buffers, which the
 // caller passes as an explicit FieldOps::Scratch — one per thread (or use
 // the convenience overloads, which borrow a thread_local default).  One
-// FieldOps instance can therefore serve concurrent verification and
-// region-encode traffic with no external locking.  The single-word path and
-// ConstMultiplier::mul are pure.
+// FieldOps instance can therefore serve concurrent callers with no external
+// locking.  The single-word path is pure.
+//
+// Region traffic (one constant times a whole buffer: Reed-Solomon stripes,
+// erasure repair) is bulk::RegionEngine's job, one layer up; it builds its
+// per-constant tables from this engine's mul/reduce and hands
+// wide_params() to the carry-less word kernels.
 
 #include "bulk/kernels.h"
 #include "gf2/clmul.h"
@@ -37,7 +36,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -142,22 +140,6 @@ public:
     /// cross-check/benchmark target for inv()'s addition chain.
     [[nodiscard]] std::uint64_t inv_fermat(std::uint64_t a) const;
 
-    /// Element-wise batch multiply: out[i] = a[i] * b[i].  Spans must have
-    /// equal length; out may alias a or b (exactly — not partially).  Routed
-    /// through the bulk kernel dispatch: the VPCLMULQDQ wide kernel when the
-    /// running CPU has it, the scalar mul() loop otherwise — results are
-    /// bit-identical either way.
-    void mul_region(std::span<const std::uint64_t> a, std::span<const std::uint64_t> b,
-                    std::span<std::uint64_t> out) const;
-
-    /// In-place scale of a region by one constant.  Operands must be
-    /// canonical (degree < m): neither the window tables nor the SIMD
-    /// region kernels cover higher bits.  Routed through the bulk dispatch
-    /// (nibble-shuffle kernel for m <= 8, VPCLMULQDQ wide kernel otherwise,
-    /// scalar window tables as the portable fallback).  For repeated use of
-    /// the same constant, hold a ConstMultiplier instead.
-    void mul_region_const(std::uint64_t c, std::span<std::uint64_t> data) const;
-
     /// Reduction structure handed to the bulk carry-less word kernels.
     /// `c` is stored as given — canonicalise with reduce(0, c) first when it
     /// may exceed degree m.  Requires single_word().
@@ -174,18 +156,6 @@ public:
     /// Fold iterations that provably cancel the excess of any product of two
     /// canonical elements (single-word fields; sparse moduli need 2-3).
     [[nodiscard]] int fold_bound() const noexcept { return fold_bound_; }
-
-    /// Per-constant nibble product tables for the bulk byte kernels:
-    /// lo[v] = c*v, hi[v] = c*(v << 4) for every 4-bit v.  Requires
-    /// degree() <= 8; c is canonicalised first.  The one builder shared by
-    /// ConstMultiplier and bulk::RegionEngine, so their tables can never
-    /// diverge.
-    [[nodiscard]] bulk::NibbleTables nibble_tables(std::uint64_t c) const;
-
-    /// Per-constant 4-bit window tables for the scalar u64 region walk:
-    /// ceil(m/4) x 16 entries, table[w*16 + v] = c * (v << 4w) mod f.
-    /// Requires single_word(); c is canonicalised first.
-    [[nodiscard]] std::vector<std::uint64_t> window_tables(std::uint64_t c) const;
 
     // --- Multi-word path (any m); caller-owned scratch ---------------------
     //
@@ -262,55 +232,6 @@ private:
     int cluster_shift_ = 0;           ///< smallest nonzero tail exponent
     bool cluster_fold_ok_ = false;    ///< fast single-pass fold applicable
     int fold_bound_ = 1;              ///< see fold_bound()
-};
-
-/// Precomputed constant multiplier for region traffic in single-word fields:
-/// table_[w][v] = c * (v << 4w) mod f for every 4-bit window w of the operand,
-/// so one multiply is ceil(m/4) table lookups XORed together.
-///
-/// Since PR 5 the region entry points route through the bulk kernel
-/// dispatch, resolved once at construction: fields with m <= 8 run the
-/// nibble-shuffle byte kernels directly on the u64 layout (each element's
-/// seven zero padding bytes multiply to zero), wider fields run the
-/// VPCLMULQDQ wide kernel, and the window-table walk remains the portable
-/// scalar path — all bit-identical on canonical operands.
-class ConstMultiplier {
-public:
-    /// Requires ops.single_word().  Builds ceil(m/4) * 16 table entries.
-    /// The constant is reduced; operands passed to mul() must already be
-    /// canonical (degree < m) — bits beyond the top window are not reduced.
-    ConstMultiplier(const FieldOps& ops, std::uint64_t c);
-
-    [[nodiscard]] std::uint64_t constant() const noexcept { return c_; }
-
-    [[nodiscard]] std::uint64_t mul(std::uint64_t a) const noexcept {
-        std::uint64_t acc = 0;
-        const std::uint64_t* t = table_.data();
-        for (int w = 0; w < windows_; ++w, t += 16) {
-            acc ^= t[(a >> (4 * w)) & 0xF];
-        }
-        return acc;
-    }
-
-    /// data[i] = c * data[i] for the whole region, in place.
-    void mul_region(std::span<std::uint64_t> data) const noexcept;
-
-    /// out[i] = c * in[i].  Spans must have equal length; out may alias in
-    /// exactly (in-place) — partial overlap is undefined.
-    void mul_region(std::span<const std::uint64_t> in,
-                    std::span<std::uint64_t> out) const;
-
-private:
-    std::uint64_t c_ = 0;
-    int windows_ = 0;
-    std::vector<std::uint64_t> table_;  ///< windows_ x 16 window products
-    // Bulk dispatch routing, resolved once at construction (null → scalar
-    // window walk).  byte_kernel_ only for m <= 8 on little-endian x86
-    // (which is the only place the SIMD byte kernels exist).
-    const bulk::ByteKernel* byte_kernel_ = nullptr;
-    const bulk::WordKernel* word_kernel_ = nullptr;
-    bulk::NibbleTables nibbles_{};
-    bulk::WideParams wide_{};
 };
 
 }  // namespace gfr::field

@@ -83,29 +83,6 @@ Field::Element Field::sqr_reference(const Element& a) const {
     return a.square() % modulus_;
 }
 
-void Field::mul_region_const(const Element& c, std::span<Element> data) const {
-    Element constant = c;  // snapshot: c may alias an element of data
-    ops_->reduce_in_place(constant);
-    if (ops_->single_word()) {
-        const ConstMultiplier cm{*ops_, word_of(constant)};
-        Element out;
-        for (auto& e : data) {
-            if (is_element(e)) {  // window tables cover canonical operands only
-                e.assign_word(cm.mul(word_of(e)));
-            } else {  // non-canonical entry: reduce through the generic path
-                ops_->mul(constant, e, out);
-                std::swap(e, out);
-            }
-        }
-        return;
-    }
-    Element out;
-    for (auto& e : data) {
-        ops_->mul(constant, e, out);
-        std::swap(e, out);  // buffer ping-pong: no per-element allocation
-    }
-}
-
 Field::Element Field::pow(const Element& a, std::uint64_t e) const {
     if (ops_->single_word() && fits_word(a)) {
         return element_from_word(ops_->pow(word_of(a), e));

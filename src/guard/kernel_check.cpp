@@ -172,7 +172,7 @@ Status selftest_byte_kernel(const bulk::ByteKernel& k, bool force_fault) {
 
 Status selftest_word_kernel(const bulk::WordKernel& k, bool force_fault) {
     const char* name = bulk::kernel_name(k.kind);
-    if (k.mul == nullptr || k.addmul == nullptr || k.mul_elementwise == nullptr) {
+    if (k.mul == nullptr || k.addmul == nullptr) {
         return Status::fail(Fault::KernelSelfTest,
                             std::string{name} + " word kernel: null entry point");
     }
@@ -187,13 +187,12 @@ Status selftest_word_kernel(const bulk::WordKernel& k, bool force_fault) {
     p.m = 64;
     p.folds = bulk::kMaxWideFolds;
     constexpr std::size_t kMax = 100;
-    std::vector<std::uint64_t> a(kMax), b(kMax), dst(kMax), expect(kMax);
+    std::vector<std::uint64_t> a(kMax), dst(kMax), expect(kMax);
     bool faulted = !force_fault;
     for (const std::size_t n : kWordLengths) {
         p.c = rng();
         for (std::size_t i = 0; i < n; ++i) {
             a[i] = rng();
-            b[i] = rng();
             dst[i] = rng();
         }
         // const-mul
@@ -226,30 +225,6 @@ Status selftest_word_kernel(const bulk::WordKernel& k, bool force_fault) {
                     std::string{name} + " word addmul mismatch at n=" +
                         std::to_string(n) + " i=" + std::to_string(i) +
                         ": got " + hex(dst[i]) + " want " + hex(expect[i]));
-            }
-        }
-        // elementwise, including in-place (dst == a)
-        for (std::size_t i = 0; i < n; ++i) {
-            expect[i] = peasant_mul(a[i], b[i]);
-        }
-        k.mul_elementwise(p, a.data(), b.data(), dst.data(), n);
-        for (std::size_t i = 0; i < n; ++i) {
-            if (dst[i] != expect[i]) {
-                return Status::fail(
-                    Fault::KernelSelfTest,
-                    std::string{name} + " word elementwise mismatch at n=" +
-                        std::to_string(n) + " i=" + std::to_string(i) +
-                        ": got " + hex(dst[i]) + " want " + hex(expect[i]));
-            }
-        }
-        k.mul_elementwise(p, a.data(), b.data(), a.data(), n);
-        for (std::size_t i = 0; i < n; ++i) {
-            if (a[i] != expect[i]) {
-                return Status::fail(
-                    Fault::KernelSelfTest,
-                    std::string{name} + " word in-place elementwise mismatch at n=" +
-                        std::to_string(n) + " i=" + std::to_string(i) +
-                        ": got " + hex(a[i]) + " want " + hex(expect[i]));
             }
         }
     }

@@ -21,8 +21,8 @@
 // A kernel that fails is QUARANTINED: the dispatch is downgraded one rung
 // (gfni -> avx2 -> ssse3 -> scalar for bytes; vpclmul -> window-table walk
 // for words) and the next rung is screened in turn.  The scalar kernels are
-// the reference semantics and are never screened.  Since every downstream
-// path (RegionEngine, FieldOps region routing) takes its kernels from
+// the reference semantics and are never screened.  Since RegionEngine, the
+// one route from callers to these kernels, takes them from
 // bulk::dispatch(), a quarantined kernel can never touch user data, and the
 // scalar fallback is bit-identical by the engine's differential tests.
 //
@@ -44,8 +44,8 @@ namespace gfr::guard {
 [[nodiscard]] Status selftest_byte_kernel(const bulk::ByteKernel& k,
                                           bool force_fault = false);
 
-/// Screen one word kernel (mul / addmul / mul_elementwise) against the
-/// peasant-multiply reference.  `force_fault` as above.
+/// Screen one word kernel (mul / addmul) against the peasant-multiply
+/// reference.  `force_fault` as above.
 [[nodiscard]] Status selftest_word_kernel(const bulk::WordKernel& k,
                                           bool force_fault = false);
 

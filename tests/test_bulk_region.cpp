@@ -6,6 +6,7 @@
 // in-place and aliased spans.  The dispatch policy is pinned pure: for any
 // feature set, neither ladder's select() may pick a kernel the features
 // don't support, and forcing an unsupported or inapplicable kernel throws.
+// Steady-state region calls allocate nothing.
 
 #include "bulk/cpu.h"
 #include "bulk/kernels.h"
@@ -288,11 +289,24 @@ std::vector<Field> word_fields() {
     return fields;
 }
 
+/// Every kernel kind that can serve f's u64 layout on this CPU: the word
+/// rungs, the byte rungs for m <= 8 (they run over the layout's bytes), and
+/// Scalar — the window walk, held to element arithmetic like the rest.
+std::vector<KernelKind> u64_kernels(const Field& f) {
+    std::vector<KernelKind> out = kWordLadder.runnable(detect_cpu());
+    if (f.degree() <= 8) {
+        const std::vector<KernelKind> bytes = kByteLadder.runnable(detect_cpu());
+        out.insert(out.end(), bytes.begin(), bytes.end());
+    }
+    out.push_back(KernelKind::Scalar);
+    return out;
+}
+
 TEST(BulkRegion, WordKernelsBitIdenticalToScalarAllEdgeCases) {
     Xorshift64Star rng{0xC0FFEE0DDBA11ULL};
     for (const Field& f : word_fields()) {
         const RegionEngine scalar{f.ops(), KernelKind::Scalar};
-        for (const KernelKind kind : kWordLadder.runnable(detect_cpu())) {
+        for (const KernelKind kind : u64_kernels(f)) {
             const RegionEngine eng{f.ops(), kind};
             for (const std::size_t n : edge_lengths()) {
                 // +1 element offset: 8-byte aligned, 32-byte unaligned.
@@ -334,21 +348,6 @@ TEST(BulkRegion, WordKernelsBitIdenticalToScalarAllEdgeCases) {
                 for (std::size_t i = 0; i < n; ++i) {
                     ASSERT_EQ(aliased[i], ref[i]) << "aliased n=" << n;
                     ASSERT_EQ(inplace[i], ref[i]) << "scale n=" << n;
-                }
-
-                // Element-wise: canonical AND arbitrary u64 operands — the
-                // wide kernel must fall back per group exactly like
-                // FieldOps::mul reduces them.
-                std::vector<std::uint64_t> b(n);
-                for (std::size_t i = 0; i < n; ++i) {
-                    b[i] = (i % 3 == 0) ? rng.next()
-                                        : testutil::random_word_element(f, rng);
-                }
-                std::vector<std::uint64_t> ew(n, 0);
-                eng.mul_region_elementwise({src, n}, b, ew);
-                for (std::size_t i = 0; i < n; ++i) {
-                    ASSERT_EQ(ew[i], f.ops().mul(src[i], b[i]))
-                        << "elementwise n=" << n << " i=" << i;
                 }
             }
         }
@@ -415,54 +414,7 @@ TEST(BulkRegion, MultiWordRegionOpsMatchElementArithmetic) {
     }
 }
 
-// --- Routed public APIs ------------------------------------------------------
-
-TEST(BulkRegion, RoutedFieldOpsAndConstMultiplierMatchElementLoop) {
-    // The PR-1/PR-2 region APIs kept their signatures but now run through
-    // the dispatch; their results must stay exactly what an element loop
-    // produces, including at odd lengths and in place.
-    Xorshift64Star rng{0xFEEDFACE0101ULL};
-    testutil::for_each_table5_field([&](const field::FieldSpec& spec,
-                                        const Field& f) {
-        if (spec.m > 64) {
-            return;
-        }
-        for (const std::size_t n : {std::size_t{0}, std::size_t{1},
-                                    std::size_t{3}, std::size_t{31},
-                                    std::size_t{130}}) {
-            std::vector<std::uint64_t> a(n);
-            std::vector<std::uint64_t> b(n);
-            for (std::size_t i = 0; i < n; ++i) {
-                a[i] = testutil::random_word_element(f, rng);
-                b[i] = (i % 5 == 0) ? rng.next()
-                                    : testutil::random_word_element(f, rng);
-            }
-            const std::uint64_t c = testutil::random_word_element(f, rng);
-
-            std::vector<std::uint64_t> out(n, 0);
-            f.ops().mul_region(a, b, out);
-            for (std::size_t i = 0; i < n; ++i) {
-                ASSERT_EQ(out[i], f.ops().mul(a[i], b[i]))
-                    << spec.label() << " mul_region n=" << n;
-            }
-
-            const field::ConstMultiplier cm{f.ops(), c};
-            std::vector<std::uint64_t> r1(a);
-            cm.mul_region(r1);  // in place
-            std::vector<std::uint64_t> r2(n, 0);
-            cm.mul_region(a, r2);
-            std::vector<std::uint64_t> r3(a);
-            f.ops().mul_region_const(c, r3);
-            for (std::size_t i = 0; i < n; ++i) {
-                const std::uint64_t want = cm.mul(a[i]);
-                ASSERT_EQ(want, f.ops().mul(c, a[i]));
-                ASSERT_EQ(r1[i], want) << spec.label() << " in-place";
-                ASSERT_EQ(r2[i], want) << spec.label() << " out-of-place";
-                ASSERT_EQ(r3[i], want) << spec.label() << " mul_region_const";
-            }
-        }
-    });
-}
+// --- Prepared constants ------------------------------------------------------
 
 TEST(BulkRegion, PreparedConstantEdgeCases) {
     const Field f = field::gf256_paper_field();
@@ -542,6 +494,44 @@ TEST(BulkRegion, PreparedMismatchedEngineThrowsInsteadOfWrongSymbols) {
     std::vector<std::uint64_t> mwbuf(3 * f163.ops().elem_words(), 0);
     EXPECT_THROW(eng163.mul_region_mw(prep8, mwbuf, mwbuf),
                  std::invalid_argument);
+}
+
+TEST(BulkRegion, SteadyStateRegionCallsAreAllocationFree) {
+    // rs::Codec makes these calls on every stripe: once the Prepared
+    // constants and the caller's Scratch exist, no region call may touch
+    // the heap, whichever kernel serves it.
+    const Field f8 = field::gf256_paper_field();
+    const Field f64 = Field::type2(64, 23);
+    const Field f163 = Field::type2(163, 66);
+    const RegionEngine eng8{f8.ops()};
+    const RegionEngine eng64{f64.ops()};
+    const RegionEngine eng64_scalar{f64.ops(), KernelKind::Scalar};
+    const RegionEngine eng163{f163.ops()};
+    const auto p8 = eng8.prepare(std::uint64_t{0x53});
+    const auto p64 = eng64.prepare(std::uint64_t{0xDEADBEEF});
+    const auto p64_scalar = eng64_scalar.prepare(std::uint64_t{0xDEADBEEF});
+    const auto p163 = eng163.prepare(gf2::Poly::from_exponents({160, 97, 2, 0}));
+
+    std::vector<std::uint8_t> bytes(1024, 0x5A);
+    std::vector<std::uint8_t> bytes_acc(1024, 0);
+    std::vector<std::uint64_t> words(1024, 0x123456789ABCDEFULL);
+    std::vector<std::uint64_t> words_acc(1024, 0);
+    std::vector<std::uint64_t> mw_src(64 * f163.ops().elem_words(), 1);
+    std::vector<std::uint64_t> mw_acc(mw_src.size(), 0);
+    field::FieldOps::Scratch scratch;
+    eng163.addmul_region_mw(p163, mw_src, mw_acc, scratch);  // sizes scratch
+
+    const testutil::AllocationGuard guard;
+    for (int pass = 0; pass < 16; ++pass) {
+        eng8.addmul_region(p8, bytes, bytes_acc);
+        eng8.scale_region(p8, bytes);
+        eng64.addmul_region(p64, words, words_acc);
+        eng64.scale_region(p64, words);
+        eng64_scalar.addmul_region(p64_scalar, words, words_acc);
+        eng64_scalar.scale_region(p64_scalar, words);
+        eng163.addmul_region_mw(p163, mw_src, mw_acc, scratch);
+    }
+    EXPECT_EQ(guard.delta(), 0) << "a steady-state region call touched the heap";
 }
 
 TEST(BulkRegion, AutoEngineReportsSupportedKernels) {

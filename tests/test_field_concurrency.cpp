@@ -1,20 +1,23 @@
 // Concurrency test for the thread-safe arithmetic tier.
 //
-// One shared Field is hammered from N threads running mixed
-// mul / sqr / inv / region traffic.  Correctness is judged by determinism:
-// every thread records a checksum trace from a seeded PRNG, and the same
-// seeds replayed serially must produce bit-identical traces.  Under the old
+// One shared Field, and one shared bulk::RegionEngine over it (the way
+// rs::Codec shares its engine across callers), are hammered from N threads
+// running mixed mul / sqr / inv / region traffic.  Correctness is judged by
+// determinism: every thread records a checksum trace from a seeded PRNG, and
+// the same seeds replayed serially must produce bit-identical traces.  Under the old
 // engine (per-instance mutable scratch) the multi-word paths raced and this
 // comparison fails; with the explicit / thread-local Scratch it must hold on
 // every run.  Run under TSan in CI for the data-race half of the claim; the
 // replay check here catches corrupted results on any build.
 
+#include "bulk/region_engine.h"
 #include "field/field_ops.h"
 #include "field/gf2m.h"
 #include "testutil.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -35,14 +38,17 @@ std::uint64_t checksum(const Poly& p) {
 
 constexpr int kThreads = 4;
 constexpr int kIters = 400;
+constexpr std::size_t kRegionSymbols = 8;
 constexpr std::uint64_t kSeedBase = 0xC0CC0C0ULL;
 
-/// The workload one thread runs against the shared field: mixed operations
-/// driven by its own PRNG, checksums appended to `trace`.  Deliberately
-/// value-identical whether run concurrently or serially.
-void hammer(const Field& f, std::uint64_t seed, std::vector<std::uint64_t>& trace) {
+/// The workload one thread runs against the shared field and engine: mixed
+/// operations driven by its own PRNG, checksums appended to `trace`.
+/// Deliberately value-identical whether run concurrently or serially.
+void hammer(const Field& f, const bulk::RegionEngine& eng, std::uint64_t seed,
+            std::vector<std::uint64_t>& trace) {
     Xorshift64Star rng{seed};
-    std::vector<Poly> region(8);
+    const std::size_t mw = f.ops().elem_words();
+    std::vector<std::uint64_t> region(kRegionSymbols * mw);
     trace.reserve(kIters);
     for (int i = 0; i < kIters; ++i) {
         const Poly a = testutil::random_element(f, rng);
@@ -58,13 +64,22 @@ void hammer(const Field& f, std::uint64_t seed, std::vector<std::uint64_t>& trac
                 trace.push_back(checksum(f.inv(b)));
                 break;
             default: {
-                for (auto& e : region) {
-                    e = testutil::random_element(f, rng);
+                std::fill(region.begin(), region.end(), 0);
+                for (std::size_t k = 0; k < kRegionSymbols; ++k) {
+                    const Poly e = testutil::random_element(f, rng);
+                    const auto w = e.words();
+                    std::copy(w.begin(), w.end(),
+                              region.begin() + static_cast<long>(k * mw));
                 }
-                f.mul_region_const(b, region);
+                const auto prep = eng.prepare(b);
+                if (eng.single_word()) {
+                    eng.scale_region(prep, region);
+                } else {
+                    eng.mul_region_mw(prep, region, region);
+                }
                 std::uint64_t acc = 0;
-                for (const auto& e : region) {
-                    acc ^= checksum(e);
+                for (const auto w : region) {
+                    acc = (acc ^ w) * 0x2545F4914F6CDD1DULL;
                 }
                 trace.push_back(acc);
                 break;
@@ -74,23 +89,25 @@ void hammer(const Field& f, std::uint64_t seed, std::vector<std::uint64_t>& trac
 }
 
 void run_shared_field_hammer(const Field& f) {
-    // Threaded run against ONE shared Field instance.
+    // Threaded run against ONE shared Field and ONE shared engine.
+    const bulk::RegionEngine eng{f.ops()};
     std::vector<std::vector<std::uint64_t>> threaded(kThreads);
     {
         std::vector<std::thread> workers;
         workers.reserve(kThreads);
         for (int t = 0; t < kThreads; ++t) {
-            workers.emplace_back(
-                [&f, t, &threaded] { hammer(f, kSeedBase + t, threaded[t]); });
+            workers.emplace_back([&f, &eng, t, &threaded] {
+                hammer(f, eng, kSeedBase + t, threaded[t]);
+            });
         }
         for (auto& w : workers) {
             w.join();
         }
     }
-    // Serial replay with the same seeds on the same field.
+    // Serial replay with the same seeds on the same field and engine.
     for (int t = 0; t < kThreads; ++t) {
         std::vector<std::uint64_t> serial;
-        hammer(f, kSeedBase + t, serial);
+        hammer(f, eng, kSeedBase + t, serial);
         ASSERT_EQ(threaded[static_cast<std::size_t>(t)], serial)
             << "thread " << t << " diverged from serial replay on " << f.to_string();
     }
@@ -107,7 +124,7 @@ TEST(FieldConcurrency, SharedPentanomialFieldMatchesSerialReplay) {
 }
 
 TEST(FieldConcurrency, SharedSingleWordFieldMatchesSerialReplay) {
-    const Field f = Field::type2(64, 23);  // u64 fast path + window tables
+    const Field f = Field::type2(64, 23);  // u64 fast path + u64 region layout
     run_shared_field_hammer(f);
 }
 

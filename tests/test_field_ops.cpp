@@ -1,7 +1,7 @@
 // The fixed-modulus fast engine (FieldOps) cross-checked bit-exactly against
 // the reference arithmetic: exhaustively on every small field, randomised on
-// the NIST-size fields, region paths against scalar loops, plus allocation
-// accounting for the zero-heap-traffic guarantees.
+// the NIST-size fields, plus allocation accounting for the zero-heap-traffic
+// guarantees.
 
 #include "field/field_ops.h"
 
@@ -159,84 +159,6 @@ TEST(FieldOpsNonCanonical, UnreducedInputsAreReducedNotTruncated) {
     // Two words: exceeds the single-word fast path entirely.
     const Poly wide = Poly::from_exponents({70, 8, 1});
     EXPECT_EQ(f.mul(c, wide), f.mul_reference(c, wide));
-    // Region scale with non-canonical entries and aliased constant.
-    std::vector<Poly> data{high, wide, c, f.from_bits(0xAB)};
-    auto expected = data;
-    for (auto& e : expected) {
-        e = f.mul_reference(data[2], e);  // data[2] == c
-    }
-    f.mul_region_const(data[2], data);  // constant aliases an element
-    EXPECT_EQ(data, expected);
-}
-
-// --- Region paths vs scalar loops -------------------------------------------
-
-TEST(FieldOpsRegion, ConstMultiplierMatchesScalarLoop) {
-    const Field f = Field::type2(8, 2);
-    const auto& ops = f.ops();
-    testutil::Xorshift64Star rng{808};
-    for (int trial = 0; trial < 8; ++trial) {
-        const std::uint64_t c = rng() & 0xFF;
-        const ConstMultiplier cm{ops, c};
-        for (std::uint64_t a = 0; a < 256; ++a) {
-            EXPECT_EQ(cm.mul(a), ops.mul(c, a)) << "c=" << c << " a=" << a;
-        }
-    }
-}
-
-TEST(FieldOpsRegion, RegionOpsMatchScalarOnWideSingleWordField) {
-    const Field f = Field::type2(64, 23);
-    const auto& ops = f.ops();
-    testutil::Xorshift64Star rng{6423};
-    std::vector<std::uint64_t> a(257);
-    std::vector<std::uint64_t> b(257);
-    std::vector<std::uint64_t> out(257);
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        a[i] = rng();
-        b[i] = rng();
-    }
-    ops.mul_region(a, b, out);
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(out[i], ops.mul(a[i], b[i])) << "i=" << i;
-    }
-
-    const std::uint64_t c = rng();
-    auto scaled = a;
-    ops.mul_region_const(c, scaled);
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(scaled[i], ops.mul(c, a[i])) << "i=" << i;
-    }
-}
-
-TEST(FieldOpsRegion, ElementRegionMatchesScalarOnMultiWordField) {
-    const Field f = Field::type2(163, 66);
-    testutil::Xorshift64Star rng{163 * 7};
-    const Poly c = testutil::random_element(f, rng);
-    std::vector<Poly> data(33);
-    for (auto& e : data) {
-        e = testutil::random_element(f, rng);
-    }
-    auto scaled = data;
-    f.mul_region_const(c, scaled);
-    for (std::size_t i = 0; i < data.size(); ++i) {
-        EXPECT_EQ(scaled[i], f.mul(c, data[i])) << "i=" << i;
-    }
-}
-
-TEST(FieldOpsRegion, MulRegionRejectsLengthMismatch) {
-    const Field f = Field::type2(8, 2);
-    std::vector<std::uint64_t> a(4);
-    std::vector<std::uint64_t> b(3);
-    std::vector<std::uint64_t> out(4);
-    EXPECT_THROW(f.ops().mul_region(a, b, out), std::invalid_argument);
-    const ConstMultiplier cm{f.ops(), 3};
-    EXPECT_THROW(cm.mul_region(a, std::span<std::uint64_t>{out.data(), 3}),
-                 std::invalid_argument);
-}
-
-TEST(FieldOpsRegion, ConstMultiplierRequiresSingleWordField) {
-    const Field f = Field::type2(163, 66);
-    EXPECT_THROW((ConstMultiplier{f.ops(), 5}), std::invalid_argument);
 }
 
 // --- Allocation accounting ---------------------------------------------------
@@ -254,17 +176,6 @@ TEST(FieldOpsAllocations, SingleWordPathIsAllocationFree) {
     }
     EXPECT_EQ(allocation_count(), before) << "u64 path touched the heap";
     EXPECT_NE(acc, 0U);  // keep the loop observable
-}
-
-TEST(FieldOpsAllocations, ConstMultiplierRegionIsAllocationFree) {
-    const Field f = Field::type2(64, 23);
-    const ConstMultiplier cm{f.ops(), 0xDEADBEEF};
-    std::vector<std::uint64_t> data(1024, 0x123456789ABCDEFULL);
-    const long before = allocation_count();
-    for (int pass = 0; pass < 16; ++pass) {
-        cm.mul_region(data);
-    }
-    EXPECT_EQ(allocation_count(), before) << "region scaling touched the heap";
 }
 
 TEST(FieldOpsAllocations, MultiWordSteadyStateIsAllocationFree) {

@@ -41,8 +41,6 @@ TEST(RegionErrors, LengthMismatches) {
                    "RegionEngine::mul_region: length mismatch");
     expect_invalid([&] { eng.addmul_region(p, w3, w4); },
                    "RegionEngine::addmul_region: length mismatch");
-    expect_invalid([&] { eng.mul_region_elementwise(w3, w3, w4); },
-                   "RegionEngine::mul_region_elementwise: length mismatch");
     // Checked variants route through the same validation.
     std::uint64_t sum = 0;
     expect_invalid([&] { eng.mul_region_checked(p, b3, 0, b4, sum); },
@@ -65,9 +63,6 @@ TEST(RegionErrors, LayoutDegreeGates) {
     std::vector<std::uint64_t> words(6);
     expect_invalid([&] { eng163.mul_region(p163, words, words); },
                    "RegionEngine: u64 layout requires m <= 64; use the _mw calls");
-    expect_invalid(
-        [&] { eng163.mul_region_elementwise(words, words, words); },
-        "RegionEngine::mul_region_elementwise: requires m <= 64");
     expect_invalid(
         [&] { static_cast<void>(eng163.prepare(std::uint64_t{3})); },
         "RegionEngine::prepare(uint64): field needs m <= 64; pass a Poly");
@@ -264,15 +259,6 @@ TEST(RegionErrors, PartialOverlapRejectedOnEveryLayout) {
                 eng.addmul_region(p, whole.subspan(0, 16), whole.subspan(15, 16));
             },
             addmul_msg);
-        // Element-wise: out may alias neither input partially.
-        expect_invalid(
-            [&] {
-                eng.mul_region_elementwise(whole.subspan(0, 16),
-                                           whole.subspan(16, 16),
-                                           whole.subspan(1, 16));
-            },
-            "RegionEngine::mul_region_elementwise: src and dst overlap "
-            "partially (dst must alias src exactly or not at all)");
     }
 
     // Multi-word layout.
