@@ -4,7 +4,7 @@
 #include <limits>
 #include <span>
 #include <stdexcept>
-#include <unordered_map>
+#include <vector>
 
 namespace gfr::fpga {
 
@@ -22,25 +22,41 @@ constexpr std::uint64_t kVarMask[6] = {
     0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL};
 
 struct NodeState {
-    std::vector<Cut> cuts;  // priority list; trivial cut appended last
+    std::size_t cut_begin = 0;  // this node's priority list in the cut
+    std::size_t cut_count = 0;  // pool; trivial cut last
     int best_depth = 0;
     double area_flow = 0;
     int est_refs = 1;
 };
 
-/// Truth table of the cone rooted at `root` with the given leaves, by
-/// recursive evaluation over minterm masks.
-std::uint64_t cone_truth(const Netlist& nl, NodeId root, const Cut& cut) {
-    std::unordered_map<NodeId, std::uint64_t> value;
-    for (int i = 0; i < cut.size; ++i) {
-        value[cut.leaves[static_cast<std::size_t>(i)]] = kVarMask[i];
-    }
-    auto eval = [&](auto&& self, NodeId id) -> std::uint64_t {
-        const auto it = value.find(id);
-        if (it != value.end()) {
-            return it->second;
+/// Evaluates cones over the 6-variable minterm masks.  One value slot per
+/// netlist node; a slot is valid for the current cone only when its stamp
+/// equals the current epoch, so no per-cone clearing is needed.
+class ConeEvaluator {
+public:
+    explicit ConeEvaluator(const Netlist& nl)
+        : nl_{&nl}, value_(nl.node_count()), stamp_(nl.node_count(), 0) {}
+
+    /// Truth table of the cone rooted at `root` with the given leaves.
+    std::uint64_t truth(NodeId root, const Cut& cut) {
+        ++epoch_;
+        for (int i = 0; i < cut.size; ++i) {
+            set(cut.leaves[static_cast<std::size_t>(i)], kVarMask[i]);
         }
-        const auto& n = nl.node(id);
+        return eval(root);
+    }
+
+private:
+    void set(NodeId id, std::uint64_t v) {
+        value_[id] = v;
+        stamp_[id] = epoch_;
+    }
+
+    std::uint64_t eval(NodeId id) {
+        if (stamp_[id] == epoch_) {
+            return value_[id];
+        }
+        const auto& n = nl_->node(id);
         std::uint64_t v = 0;
         switch (n.kind) {
             case GateKind::Const0:
@@ -49,17 +65,21 @@ std::uint64_t cone_truth(const Netlist& nl, NodeId root, const Cut& cut) {
             case GateKind::Input:
                 throw std::logic_error{"cone_truth: reached an input that is not a leaf"};
             case GateKind::And2:
-                v = self(self, n.a) & self(self, n.b);
+                v = eval(n.a) & eval(n.b);
                 break;
             case GateKind::Xor2:
-                v = self(self, n.a) ^ self(self, n.b);
+                v = eval(n.a) ^ eval(n.b);
                 break;
         }
-        value.emplace(id, v);
+        set(id, v);
         return v;
-    };
-    return eval(eval, root);
-}
+    }
+
+    const Netlist* nl_;
+    std::vector<std::uint64_t> value_;
+    std::vector<std::uint32_t> stamp_;
+    std::uint32_t epoch_ = 0;
+};
 
 }  // namespace
 
@@ -67,11 +87,22 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
     if (options.lut_inputs < 2 || options.lut_inputs > Cut::kMaxLeaves) {
         throw std::invalid_argument{"map_to_luts: lut_inputs must be in [2,6]"};
     }
+    if (options.cuts_per_node < 1) {
+        throw std::invalid_argument{"map_to_luts: cuts_per_node must be >= 1"};
+    }
     const int k = options.lut_inputs;
     const auto reachable = nl.reachable_from_outputs();
     const auto fanout = nl.fanout_counts();
 
     std::vector<NodeState> state(nl.node_count());
+    // Every node's cut list, back to back; a node's list is complete before
+    // any fanout reads it, and the pool stops growing after the forward pass.
+    std::vector<Cut> pool;
+    auto cuts_of = [&](NodeId id) -> std::span<const Cut> {
+        return {pool.data() + state[id].cut_begin, state[id].cut_count};
+    };
+    std::vector<Cut> candidates;
+    std::vector<Cut> kept;
 
     // ---- Forward pass: priority cuts, depth-first ordering. ----
     for (NodeId id = 0; id < nl.node_count(); ++id) {
@@ -80,11 +111,13 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
         }
         auto& st = state[id];
         st.est_refs = std::max(1, fanout[id]);
+        st.cut_begin = pool.size();
         const auto& n = nl.node(id);
         if (n.kind == GateKind::Input || n.kind == GateKind::Const0) {
             st.best_depth = 0;
             st.area_flow = 0;
-            st.cuts.push_back(Cut::trivial(id));
+            pool.push_back(Cut::trivial(id));
+            st.cut_count = 1;
             continue;
         }
 
@@ -101,10 +134,10 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
             if (boundary) {
                 return {&trivial, 1};
             }
-            return {state[fanin].cuts.data(), state[fanin].cuts.size()};
+            return cuts_of(fanin);
         };
 
-        std::vector<Cut> candidates;
+        candidates.clear();
         for (const auto& ca : fanin_cuts(n.a, trivial_a)) {
             for (const auto& cb : fanin_cuts(n.b, trivial_b)) {
                 auto merged = Cut::merge(ca, cb, k);
@@ -133,7 +166,7 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
             }
             return x.size < y.size;
         });
-        std::vector<Cut> kept;
+        kept.clear();
         for (const auto& c : candidates) {
             bool redundant = false;
             for (const auto& kc : kept) {
@@ -172,8 +205,9 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
         }
         st.best_depth = kept.front().depth;
         st.area_flow = kept.front().area_flow / st.est_refs;
-        st.cuts = std::move(kept);
-        st.cuts.push_back(Cut::trivial(id));  // visible to fanouts as a leaf
+        pool.insert(pool.end(), kept.begin(), kept.end());
+        pool.push_back(Cut::trivial(id));  // visible to fanouts as a leaf
+        st.cut_count = kept.size() + 1;
     }
 
     // ---- Required times. ----
@@ -191,6 +225,8 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
     std::vector<bool> used(nl.node_count(), false);
     std::vector<const Cut*> chosen(nl.node_count(), nullptr);
     std::vector<double> area_est(nl.node_count(), 0.0);
+    std::vector<int> required(nl.node_count());
+    std::vector<int> refs(nl.node_count());
     const int rounds = options.area_recovery ? 3 : 1;
 
     for (int round = 0; round < rounds; ++round) {
@@ -206,7 +242,7 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
             }
             double best = 0.0;
             bool first = true;
-            for (const auto& c : state[id].cuts) {
+            for (const auto& c : cuts_of(id)) {
                 if (c.size == 1 && c.leaves[0] == id) {
                     continue;
                 }
@@ -222,7 +258,7 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
             area_est[id] = best / state[id].est_refs;
         }
 
-        std::vector<int> required(nl.node_count(), kInfinity);
+        std::fill(required.begin(), required.end(), kInfinity);
         std::fill(used.begin(), used.end(), false);
         for (const auto& out : nl.outputs()) {
             required[out.node] = global_depth;
@@ -235,10 +271,10 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
             if (!used[idp]) {
                 continue;
             }
-            const auto& st = state[idp];
+            const auto cuts = cuts_of(idp);
             const Cut* pick = nullptr;
             double pick_area = 0.0;
-            for (const auto& c : st.cuts) {
+            for (const auto& c : cuts) {
                 if (c.size == 1 && c.leaves[0] == idp) {
                     continue;  // trivial cut cannot implement its own node
                 }
@@ -260,7 +296,7 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
                 }
             }
             if (pick == nullptr) {
-                pick = &st.cuts.front();  // depth-best always meets required
+                pick = &cuts.front();  // depth-best always meets required
             }
             chosen[idp] = pick;
             for (int i = 0; i < pick->size; ++i) {
@@ -275,7 +311,7 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
 
         if (round + 1 < rounds) {
             // Re-estimate reference counts from the actual cover.
-            std::vector<int> refs(nl.node_count(), 0);
+            std::fill(refs.begin(), refs.end(), 0);
             for (NodeId id = 0; id < nl.node_count(); ++id) {
                 if (!used[id] || chosen[id] == nullptr) {
                     continue;
@@ -298,6 +334,8 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
     // ---- Emit the LUT network. ----
     LutNetwork net;
     net.input_names.reserve(nl.inputs().size());
+    net.luts.reserve(static_cast<std::size_t>(std::count(used.begin(), used.end(), true)));
+    ConeEvaluator cone{nl};
     std::vector<std::int32_t> ref(nl.node_count(), LutNetwork::kConst0Ref);
     for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
         net.input_names.push_back(nl.inputs()[i].name);
@@ -313,7 +351,7 @@ LutNetwork map_to_luts(const Netlist& nl, const MapperOptions& options) {
         for (int i = 0; i < cut.size; ++i) {
             lut.fanins.push_back(ref[cut.leaves[static_cast<std::size_t>(i)]]);
         }
-        lut.truth = cone_truth(nl, id, cut);
+        lut.truth = cone.truth(id, cut);
         ref[id] = static_cast<std::int32_t>(net.input_names.size() + net.luts.size());
         net.luts.push_back(std::move(lut));
     }

@@ -1,6 +1,8 @@
 #include "netlist/passes.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -153,158 +155,220 @@ private:
     std::vector<int> depth_;
 };
 
+/// The input wires of a cone that fits one 6-LUT: at most six sorted ids
+/// plus a bloom signature (bit id % 64 per wire) that rejects most
+/// oversized unions by popcount before any merge — the shape of fpga::Cut,
+/// which this layer cannot include.  size == kUnknown marks an entry of the
+/// builder's per-node table that has not been computed yet.
+struct WireSet {
+    static constexpr std::uint8_t kMax = 6;
+    static constexpr std::uint8_t kUnknown = 0xFF;
+
+    std::array<NodeId, kMax> ids{};
+    std::uint8_t size = kUnknown;
+    std::uint64_t signature = 0;
+
+    static WireSet single(NodeId id) {
+        WireSet w;
+        w.ids[0] = id;
+        w.size = 1;
+        w.signature = std::uint64_t{1} << (id % 64);
+        return w;
+    }
+
+    /// Sorted union of `a` and `b` into `out`; false when it needs more
+    /// than kMax wires (`out` is then unspecified).
+    static bool merge(const WireSet& a, const WireSet& b, WireSet& out) {
+        if (std::popcount(a.signature | b.signature) > kMax) {
+            return false;  // at least popcount distinct wires
+        }
+        std::uint8_t ia = 0;
+        std::uint8_t ib = 0;
+        std::uint8_t n = 0;
+        while (ia < a.size || ib < b.size) {
+            NodeId next = 0;
+            if (ib == b.size || (ia < a.size && a.ids[ia] < b.ids[ib])) {
+                next = a.ids[ia++];
+            } else if (ia == a.size || b.ids[ib] < a.ids[ia]) {
+                next = b.ids[ib++];
+            } else {
+                next = a.ids[ia++];
+                ++ib;
+            }
+            if (n == kMax) {
+                return false;
+            }
+            out.ids[n++] = next;
+        }
+        out.size = n;
+        out.signature = a.signature | b.signature;
+        return true;
+    }
+};
+
 /// Builds XOR trees that map *perfectly* onto K-input LUTs: leaves are
 /// greedily packed into chunks whose combined input support stays within 6
 /// wires (one LUT), then chunk roots are packed 6-at-a-time, 6-ary-Huffman
 /// style (lowest LUT level first).  This is technology-aware tree
 /// construction — the restructuring a LUT-oriented synthesis tool performs
 /// on flat XOR equations.
+///
+/// Supports and levels live in tables indexed by the output netlist's
+/// NodeId, grown with it and shared by every build() call on one netlist.
+/// A chunk root's entries are assigned (overwriting any earlier value);
+/// every other entry is computed from its fanins the first time it is read.
 class LutAwareXorBuilder {
 public:
     explicit LutAwareXorBuilder(Netlist& nl) : nl_{&nl} {}
-
-    static constexpr std::size_t kLutInputs = 6;
 
     NodeId build(const std::vector<NodeId>& leaves) {
         if (leaves.empty()) {
             return nl_->const0();
         }
-        // (lut level, insertion order, node); re-sorted by level each round.
-        std::vector<std::tuple<int, int, NodeId>> items;
-        items.reserve(leaves.size());
+        grow();
+        // Kept sorted by (lut level, insertion order); each item carries its
+        // support, computed once as it enters.
+        items_.clear();
         int seq = 0;
         for (const NodeId leaf : leaves) {
-            items.emplace_back(level_of(leaf), seq++, leaf);
+            const int level = level_of(leaf);
+            items_.push_back(Item{level, seq++, leaf, false, effective_support(leaf)});
         }
-        while (items.size() > 1) {
-            std::sort(items.begin(), items.end());
+        std::sort(items_.begin(), items_.end(), [](const Item& x, const Item& y) {
+            return std::tie(x.level, x.seq) < std::tie(y.level, y.seq);
+        });
+        while (items_.size() > 1) {
             // Seed the chunk with the shallowest item, then repeatedly absorb
             // the remaining item sharing the most wires with the chunk (e.g.
             // several partial products over the same few a/b wires land in
-            // one LUT), while the union support fits.
-            std::vector<NodeId> chunk{std::get<2>(items[0])};
-            std::vector<NodeId> support = effective_support(std::get<2>(items[0]));
-            int chunk_level = std::get<0>(items[0]);
-            std::vector<std::size_t> taken{0};
-            std::vector<bool> in_chunk(items.size(), false);
-            in_chunk[0] = true;
-            while (support.size() < kLutInputs) {
-                std::size_t best = items.size();
+            // one LUT), while the union support fits.  Ties go to the lowest
+            // index.
+            Item& seed = items_[0];
+            seed.taken = true;
+            chunk_.assign(1, seed.node);
+            WireSet support = seed.support;
+            int chunk_level = seed.level;
+            while (support.size < WireSet::kMax) {
+                std::size_t best = 0;
                 int best_overlap = -1;
-                std::vector<NodeId> best_merged;
-                for (std::size_t i = 1; i < items.size(); ++i) {
-                    if (in_chunk[i]) {
+                WireSet best_merged;
+                WireSet merged;
+                for (std::size_t i = 1; i < items_.size(); ++i) {
+                    const Item& item = items_[i];
+                    if (item.taken || !WireSet::merge(support, item.support, merged)) {
                         continue;
                     }
-                    const auto node_support = effective_support(std::get<2>(items[i]));
-                    auto merged = merge_supports(support, node_support);
-                    if (merged.size() > kLutInputs) {
-                        continue;
-                    }
-                    const int overlap = static_cast<int>(support.size()) +
-                                        static_cast<int>(node_support.size()) -
-                                        static_cast<int>(merged.size());
+                    const int overlap = support.size + item.support.size - merged.size;
                     if (overlap > best_overlap) {
                         best_overlap = overlap;
                         best = i;
-                        best_merged = std::move(merged);
+                        best_merged = merged;
+                        if (overlap == support.size) {
+                            break;  // a full overlap cannot be beaten
+                        }
                     }
                 }
-                if (best == items.size()) {
+                if (best == 0) {
                     break;  // nothing else fits
                 }
-                in_chunk[best] = true;
-                support = std::move(best_merged);
-                chunk.push_back(std::get<2>(items[best]));
-                chunk_level = std::max(chunk_level, std::get<0>(items[best]));
-                taken.push_back(best);
+                items_[best].taken = true;
+                support = best_merged;
+                chunk_.push_back(items_[best].node);
+                chunk_level = std::max(chunk_level, items_[best].level);
             }
-            std::sort(taken.begin(), taken.end());
             NodeId root = kInvalidNode;
             int root_level = 0;
-            if (chunk.size() == 1) {
+            if (chunk_.size() == 1) {
                 // Nothing fits beside it (an already-wide wire): pair the two
                 // shallowest wires instead so the loop always progresses.
-                root = nl_->make_xor(std::get<2>(items[0]), std::get<2>(items[1]));
-                root_level =
-                    std::max(std::get<0>(items[0]), std::get<0>(items[1])) + 1;
-                taken.push_back(1);
+                root = nl_->make_xor(items_[0].node, items_[1].node);
+                root_level = std::max(items_[0].level, items_[1].level) + 1;
+                items_[1].taken = true;
+                grow();
             } else {
-                root = nl_->make_xor_tree(chunk, TreeShape::Balanced);
+                root = nl_->make_xor_tree(chunk_, TreeShape::Balanced);
                 root_level = chunk_level + 1;
-                support_cache_[root] = support;  // chunk root cone fits one LUT
+                grow();
+                support_[root] = support;  // chunk root cone fits one LUT
             }
-            level_cache_[root] = root_level;
-            // Remove consumed items (indices ascending), append the new root.
-            for (std::size_t t = taken.size(); t-- > 0;) {
-                items.erase(items.begin() + static_cast<std::ptrdiff_t>(taken[t]));
-            }
-            items.emplace_back(root_level, seq++, root);
+            level_[root] = root_level;
+            // Drop the consumed items, then insert the new root where a sort
+            // by (level, seq) would put it: its seq is the largest so far.
+            std::erase_if(items_, [](const Item& item) { return item.taken; });
+            const auto pos = std::upper_bound(
+                items_.begin(), items_.end(), root_level,
+                [](int level, const Item& item) { return level < item.level; });
+            items_.insert(pos, Item{root_level, seq++, root, false, effective_support(root)});
         }
-        return std::get<2>(items[0]);
+        return items_[0].node;
     }
 
 private:
+    struct Item {
+        int level = 0;
+        int seq = 0;
+        NodeId node = kInvalidNode;
+        bool taken = false;
+        WireSet support;
+    };
+
+    static constexpr int kUnknownLevel = -1;
+
+    /// Extends the per-node tables to the netlist's current size.
+    void grow() {
+        support_.resize(nl_->node_count());
+        level_.resize(nl_->node_count(), kUnknownLevel);
+    }
+
     /// Input wires a cone needs if absorbed into a LUT; {self} when the cone
     /// is already wider than one LUT (it becomes a LUT output wire).
-    std::vector<NodeId> effective_support(NodeId id) {
-        const auto it = support_cache_.find(id);
-        if (it != support_cache_.end()) {
-            return it->second;
+    const WireSet& effective_support(NodeId id) {
+        WireSet& entry = support_[id];
+        if (entry.size != WireSet::kUnknown) {
+            return entry;
         }
         const Node& n = nl_->node(id);
-        std::vector<NodeId> result;
         switch (n.kind) {
             case GateKind::Input:
-                result = {id};
+                entry = WireSet::single(id);
                 break;
             case GateKind::Const0:
-                result = {};
+                entry.size = 0;
                 break;
             case GateKind::And2:
-            case GateKind::Xor2: {
-                result = merge_supports(effective_support(n.a), effective_support(n.b));
-                if (result.size() > kLutInputs) {
-                    result = {id};  // too wide: a LUT boundary forms here
+            case GateKind::Xor2:
+                if (!WireSet::merge(effective_support(n.a), effective_support(n.b), entry)) {
+                    entry = WireSet::single(id);  // too wide: a LUT boundary forms here
                 }
                 break;
-            }
         }
-        support_cache_.emplace(id, result);
-        return result;
+        return entry;
     }
 
     /// LUT levels this cone needs (0 = wire/input, 1 = fits one LUT, ...).
     int level_of(NodeId id) {
-        const auto it = level_cache_.find(id);
-        if (it != level_cache_.end()) {
-            return it->second;
+        if (level_[id] != kUnknownLevel) {
+            return level_[id];
         }
         const Node& n = nl_->node(id);
         int level = 0;
         if (n.kind == GateKind::And2 || n.kind == GateKind::Xor2) {
-            const auto support = effective_support(id);
-            if (!(support.size() == 1 && support[0] == id)) {
+            const WireSet& support = effective_support(id);
+            if (!(support.size == 1 && support.ids[0] == id)) {
                 level = 1;  // whole cone absorbable into one LUT
             } else {
                 level = 1 + std::max(level_of(n.a), level_of(n.b));
             }
         }
-        level_cache_.emplace(id, level);
+        level_[id] = level;
         return level;
     }
 
-    static std::vector<NodeId> merge_supports(const std::vector<NodeId>& a,
-                                              const std::vector<NodeId>& b) {
-        std::vector<NodeId> out;
-        out.reserve(a.size() + b.size());
-        std::set_union(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
-        return out;
-    }
-
     Netlist* nl_;
-    std::unordered_map<NodeId, std::vector<NodeId>> support_cache_;
-    std::unordered_map<NodeId, int> level_cache_;
+    std::vector<WireSet> support_;
+    std::vector<int> level_;
+    std::vector<Item> items_;   // build() scratch, reused across calls
+    std::vector<NodeId> chunk_;
 };
 
 }  // namespace

@@ -9,6 +9,11 @@
 //   * dce                      — drop logic not reachable from an output
 //   * balance_xor_trees        — rebuild XOR trees depth-optimally, preserving
 //                                shared (multi-fanout) subterms as units
+//   * flatten_to_anf           — collapse each output to its flat XOR of
+//                                AND-level leaves, rebuilt as LUT-aware trees
+//   * group_common_cones       — flat ANF leaves grouped by the set of
+//                                outputs they feed, one shared LUT-aware
+//                                tree per group
 //   * extract_common_xor_pairs — greedy "fast-extract": repeatedly factor the
 //                                XOR pair occurring in the most coefficient
 //                                equations into a shared gate (the paper's
@@ -70,8 +75,10 @@ Netlist extract_common_xor_pairs(const Netlist& nl);
 /// only strongly-reused pairs and fragment the netlist less).
 Netlist extract_common_xor_pairs(const Netlist& nl, int min_count);
 
-/// The "synthesis freedom" pipeline: optional ANF flattening, optional pair
-/// extraction, optional balancing, then DCE.
+/// The "synthesis freedom" pipeline: DCE first, then signature grouping or
+/// ANF flattening (group_cones wins when both are set), optional pair
+/// extraction, and balancing only when neither grouping nor flattening ran
+/// (their LUT-aware rebuilds are already min-depth).  No DCE runs after.
 Netlist synthesize(const Netlist& nl, const SynthOptions& options);
 
 }  // namespace gfr::netlist

@@ -9,18 +9,19 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+#include <utility>
+
 namespace gfr::fpga {
 namespace {
 
 TEST(FlowStrategies, SearchNeverLosesToFixedPipelines) {
-    const field::Field fld = field::gf256_paper_field();
-    const auto nl = mult::build_multiplier(mult::Method::Date2018Flat, fld);
-
-    FlowOptions searched;
-    searched.synthesis_freedom = true;
-    const double best = run_flow(nl, searched).area_time;
-
+    // Every strategy run_flow searches, in its order: as-given, balance,
+    // pair CSE, signature grouping, flat ANF, grouping + strong pairs.
     const netlist::SynthOptions fixed[] = {
+        {.flatten_anf = false, .group_cones = false, .extract_pairs = false,
+         .balance = false},
         {.flatten_anf = false, .group_cones = false, .extract_pairs = false,
          .balance = true},
         {.flatten_anf = false, .group_cones = false, .extract_pairs = true,
@@ -29,13 +30,23 @@ TEST(FlowStrategies, SearchNeverLosesToFixedPipelines) {
          .balance = true},
         {.flatten_anf = true, .group_cones = false, .extract_pairs = false,
          .balance = true},
+        {.flatten_anf = false, .group_cones = true, .extract_pairs = true,
+         .cse_min_count = 3, .balance = true},
     };
-    for (const auto& synth : fixed) {
-        FlowOptions opts;
-        opts.synthesis_freedom = true;
-        opts.strategy_search = false;
-        opts.synth = synth;
-        EXPECT_LE(best, run_flow(nl, opts).area_time + 1e-9);
+    for (const auto& [m, n] : {std::pair{8, 2}, std::pair{64, 23}}) {
+        SCOPED_TRACE("m=" + std::to_string(m));
+        const auto nl =
+            mult::build_multiplier(mult::Method::Date2018Flat, field::Field::type2(m, n));
+        FlowOptions searched;
+        searched.synthesis_freedom = true;
+        const double best = run_flow(nl, searched).area_time;
+        for (std::size_t s = 0; s < std::size(fixed); ++s) {
+            FlowOptions opts;
+            opts.synthesis_freedom = true;
+            opts.strategy_search = false;
+            opts.synth = fixed[s];
+            EXPECT_LE(best, run_flow(nl, opts).area_time + 1e-9) << "strategy " << s;
+        }
     }
 }
 

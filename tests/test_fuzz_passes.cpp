@@ -3,6 +3,8 @@
 // combinations.  This is the guard rail that lets the FPGA flow restructure
 // aggressively.
 
+#include "field/field_catalog.h"
+#include "multipliers/generator.h"
 #include "netlist/equivalence.h"
 #include "netlist/passes.h"
 #include "netlist/simulate.h"
@@ -189,6 +191,28 @@ TEST_P(PassFuzz, OptPassesPreserveProtectedMarks) {
             ASSERT_NE(r.node_map[id], kInvalidNode) << which;
             EXPECT_TRUE(r.netlist.is_protected(r.node_map[id])) << which;
         }
+    }
+}
+
+TEST(PassAllocations, LutAwareBuildersUseDenseTables) {
+    // flatten_to_anf and group_common_cones keep their LUT-aware tree
+    // builder's supports and levels in per-node arrays, so their allocations
+    // scale with the result, not with the absorb scan's work.  The output
+    // netlist's own structural hash allocates once per node;
+    // group_common_cones' signature maps also allocate per leaf.
+    const field::Field fld = field::Field::type2(64, 23);
+    const Netlist nl = dce(mult::build_multiplier(mult::Method::Date2018Flat, fld));
+    {
+        const testutil::AllocationGuard guard;
+        const Netlist flat = flatten_to_anf(nl);
+        const long allocations = guard.delta();
+        EXPECT_LE(allocations, 4 * static_cast<long>(flat.node_count()));
+    }
+    {
+        const testutil::AllocationGuard guard;
+        const Netlist grouped = group_common_cones(nl);
+        const long allocations = guard.delta();
+        EXPECT_LE(allocations, 8 * static_cast<long>(grouped.node_count()));
     }
 }
 

@@ -4,11 +4,14 @@
 #include "fpga/priority_cuts.h"
 #include "field/field_catalog.h"
 #include "multipliers/generator.h"
+#include "netlist/passes.h"
 #include "netlist/simulate.h"
 #include "testutil.h"
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 
 namespace gfr::fpga {
 namespace {
@@ -118,14 +121,34 @@ TEST(Mapper, RespectsSmallerK) {
     expect_same_function(nl, net);
 }
 
+/// EXPECT_THROW with the exact what() string.
+void expect_invalid(const netlist::Netlist& nl, const MapperOptions& opts,
+                    const std::string& message) {
+    try {
+        static_cast<void>(map_to_luts(nl, opts));
+        ADD_FAILURE() << "expected std::invalid_argument: " << message;
+    } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string{e.what()}, message);
+    }
+}
+
 TEST(Mapper, InvalidKThrows) {
     netlist::Netlist nl;
     nl.add_output("y", nl.add_input("a"));
+    const std::string bad_k = "map_to_luts: lut_inputs must be in [2,6]";
+    const std::string bad_cuts = "map_to_luts: cuts_per_node must be >= 1";
     MapperOptions opts;
     opts.lut_inputs = 1;
-    EXPECT_THROW(static_cast<void>(map_to_luts(nl, opts)), std::invalid_argument);
+    expect_invalid(nl, opts, bad_k);
     opts.lut_inputs = 7;
-    EXPECT_THROW(static_cast<void>(map_to_luts(nl, opts)), std::invalid_argument);
+    expect_invalid(nl, opts, bad_k);
+    opts.lut_inputs = 6;
+    for (const int cuts : {0, -1}) {
+        opts.cuts_per_node = cuts;
+        expect_invalid(nl, opts, bad_cuts);
+    }
+    opts.cuts_per_node = 1;
+    EXPECT_EQ(map_to_luts(nl, opts).lut_count(), 0);
 }
 
 TEST(Mapper, OutputAliasingInput) {
@@ -195,6 +218,23 @@ TEST(Mapper, AreaRecoveryNeverIncreasesDepth) {
     const auto net_without = map_to_luts(nl, without);
     EXPECT_EQ(net_with.depth(), net_without.depth());
     EXPECT_LE(net_with.lut_count(), net_without.lut_count());
+}
+
+TEST(Mapper, CutStorageAllocatesAboutOncePerLut) {
+    // Cuts live in one pool and the per-node scratch is reused, so a mapping
+    // allocates once per emitted LUT (its fanin vector) plus a bounded number
+    // of whole-netlist arrays, in either boundary mode.
+    const field::Field fld = field::Field::type2(64, 23);
+    const auto nl =
+        netlist::dce(mult::build_multiplier(mult::Method::Date2018Flat, fld));
+    for (const bool boundaries : {false, true}) {
+        MapperOptions opts;
+        opts.respect_fanout_boundaries = boundaries;
+        const testutil::AllocationGuard guard;
+        const auto net = map_to_luts(nl, opts);
+        const long allocations = guard.delta();
+        EXPECT_LE(allocations, net.lut_count() + 256) << "boundaries=" << boundaries;
+    }
 }
 
 }  // namespace

@@ -54,6 +54,19 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
+// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// otherwise they come from the default allocator, go uncounted, and are
+// released through the free() below — a mismatch AddressSanitizer reports.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+    gfr::testutil::detail::g_allocations.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+    return ::operator new(size, tag);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
