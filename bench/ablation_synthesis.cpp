@@ -1,4 +1,5 @@
-// Ablation bench for the design choices called out in DESIGN.md section 6:
+// Ablation bench for four design choices of the Table V flow (README, "FPGA
+// flow (Table V)"):
 //   1. flat vs. parenthesised netlist under ONE mapper (the paper's claim),
 //   2. XOR-pair extraction (sharing) on/off,
 //   3. XOR-tree balancing on/off,
@@ -67,7 +68,7 @@ void run_field(int m, int n) {
 }  // namespace
 
 int main() {
-    std::puts("=== Ablation: what 'synthesis freedom' buys (DESIGN.md section 6) ===\n");
+    std::puts("=== Ablation: what 'synthesis freedom' buys ===\n");
     run_field(8, 2);
     run_field(64, 23);
     std::puts("Reading: the paper's claim is the gap between '[7] paren, as-given'");

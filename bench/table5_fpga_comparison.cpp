@@ -2,10 +2,10 @@
 // post-place-and-route LUTs / Slices / Time (ns) / Area x Time on Artix-7
 // for six architectures across nine type II fields.
 //
-// Our numbers come from the full model flow (DESIGN.md): generator ->
-// (synthesis freedom for "This work" only, exactly like the paper gives XST
-// freedom only over the flat Table IV equations) -> priority-cuts 6-LUT
-// mapping -> slice packing -> calibrated timing.  The paper's measured
+// Our numbers come from the full model flow (README, "FPGA flow (Table
+// V)"): generator -> (synthesis freedom for "This work" only, exactly like
+// the paper gives XST freedom only over the flat Table IV equations) ->
+// priority-cuts 6-LUT mapping -> slice packing -> calibrated timing.  The paper's measured
 // values are printed alongside.  The reproduction target is the SHAPE:
 // which method wins A x T per field, and how area/delay scale with m.
 //

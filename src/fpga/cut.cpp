@@ -1,7 +1,5 @@
 #include "fpga/cut.h"
 
-#include <bit>
-
 namespace gfr::fpga {
 
 Cut Cut::trivial(netlist::NodeId node) {
@@ -13,36 +11,10 @@ Cut Cut::trivial(netlist::NodeId node) {
 }
 
 std::optional<Cut> Cut::merge(const Cut& a, const Cut& b, int k) {
-    if (std::popcount(a.signature | b.signature) > k) {
-        return std::nullopt;  // at least popcount distinct leaves
-    }
     Cut out;
-    int ia = 0;
-    int ib = 0;
-    while (ia < a.size || ib < b.size) {
-        netlist::NodeId next = 0;
-        if (ia < a.size && ib < b.size) {
-            if (a.leaves[static_cast<std::size_t>(ia)] < b.leaves[static_cast<std::size_t>(ib)]) {
-                next = a.leaves[static_cast<std::size_t>(ia++)];
-            } else if (b.leaves[static_cast<std::size_t>(ib)] <
-                       a.leaves[static_cast<std::size_t>(ia)]) {
-                next = b.leaves[static_cast<std::size_t>(ib++)];
-            } else {
-                next = a.leaves[static_cast<std::size_t>(ia)];
-                ++ia;
-                ++ib;
-            }
-        } else if (ia < a.size) {
-            next = a.leaves[static_cast<std::size_t>(ia++)];
-        } else {
-            next = b.leaves[static_cast<std::size_t>(ib++)];
-        }
-        if (out.size == k) {
-            return std::nullopt;
-        }
-        out.leaves[out.size++] = next;
+    if (!merge_into(a, b, k, out, [](netlist::NodeId) {})) {
+        return std::nullopt;
     }
-    out.signature = a.signature | b.signature;
     return out;
 }
 

@@ -7,7 +7,10 @@
 // paper's "speed high" optimisation goal:
 //
 //   1. forward pass: per node keep the `cuts_per_node` best cuts ordered by
-//      (depth, area-flow); a node's depth is its best cut's depth;
+//      (depth, area-flow), dropping any cut a kept cut's leaves are a subset
+//      of; the cheapest-area candidate is always kept as well (it replaces
+//      the last kept cut when the depth order left it out); a node's depth
+//      is its best cut's depth;
 //   2. global required time = max output depth (depth-optimal by
 //      construction);
 //   3. backward covering: every required node picks the cheapest (area-flow)

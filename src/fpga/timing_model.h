@@ -17,7 +17,7 @@
 // with design size (congestion / longer average routes); IO dominates tiny
 // designs, matching the ~9.8 ns floor of the paper's (8,2) rows.
 //
-// CALIBRATION (DESIGN.md section 7): the constants below were fixed ONCE so
+// CALIBRATION: the constants below were fixed ONCE so
 // the proposed multiplier lands near the paper's 9.77 ns at (8,2) and
 // ~22 ns at (163,·), then reused unchanged for every method and every field.
 // All cross-method comparisons are therefore model-internal and fair; the

@@ -38,7 +38,10 @@ netlist::NodeId ProductLayer::z_term(int lo, int hi) {
     if (lo >= hi) {
         throw std::invalid_argument{"ProductLayer::z_term: requires lo < hi"};
     }
-    return nl_->make_xor(product(lo, hi), product(hi, lo));
+    // Sequenced explicitly (argument evaluation order is unspecified), so
+    // node ids do not depend on the compiler.
+    const netlist::NodeId high = product(hi, lo);
+    return nl_->make_xor(product(lo, hi), high);
 }
 
 netlist::NodeId ProductLayer::term(const st::Term& t) {

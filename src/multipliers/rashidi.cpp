@@ -4,7 +4,8 @@
 // fully-flattened reduced ANF.  This is the minimum-depth organisation
 // (T_A + ceil(log2 |terms|) T_X) at the cost of foregoing cross-coefficient
 // sharing, matching the Table V signature of [8]: lowest delay, LUT count
-// above [3]/this-work.  See DESIGN.md, substitution table.
+// above [3]/this-work.  Every table and bench uses this reconstruction as
+// [8].
 
 #include "mastrovito/reduction_matrix.h"
 #include "multipliers/generator.h"

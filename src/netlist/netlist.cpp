@@ -46,6 +46,36 @@ NodeId Netlist::const0() {
     return const0_;
 }
 
+std::size_t Netlist::probe(GateKind kind, NodeId a, NodeId b) const noexcept {
+    const std::size_t mask = structural_hash_.size() - 1;
+    std::size_t slot =
+        detail::StructuralKeyHash{}({static_cast<std::uint8_t>(kind), a, b}) & mask;
+    for (;; slot = (slot + 1) & mask) {
+        const NodeId id = structural_hash_[slot];
+        if (id == kInvalidNode) {
+            return slot;
+        }
+        const Node& n = nodes_[id];
+        if (n.kind == kind && n.a == a && n.b == b) {
+            return slot;
+        }
+    }
+}
+
+void Netlist::grow_structural_hash() {
+    // Allocate before touching the live table, so a failed growth leaves it
+    // intact.
+    std::vector<NodeId> old(structural_hash_.empty() ? 64 : 2 * structural_hash_.size(),
+                            kInvalidNode);
+    old.swap(structural_hash_);
+    for (const NodeId id : old) {
+        if (id != kInvalidNode) {
+            const Node& n = nodes_[id];
+            structural_hash_[probe(n.kind, n.a, n.b)] = id;
+        }
+    }
+}
+
 NodeId Netlist::intern(GateKind kind, NodeId a, NodeId b) {
     if (a > b) {
         std::swap(a, b);  // commutative gates get canonical fanin order
@@ -56,25 +86,29 @@ NodeId Netlist::intern(GateKind kind, NodeId a, NodeId b) {
         nodes_.push_back(Node{kind, a, b});
         return id;  // literal elaboration: never merged, never probed
     }
-    const detail::StructuralKey key{static_cast<std::uint8_t>(kind), a, b};
-    const auto it = structural_hash_.find(key);
-    if (it != structural_hash_.end()) {
-        return it->second;
+    if (2 * (interned_count_ + 1) > structural_hash_.size()) {
+        grow_structural_hash();  // keeps the load at most 1/2 after this insert
+    }
+    const std::size_t slot = probe(kind, a, b);
+    if (structural_hash_[slot] != kInvalidNode) {
+        return structural_hash_[slot];
     }
     check_capacity();
     const NodeId id = static_cast<NodeId>(nodes_.size());
     nodes_.push_back(Node{kind, a, b});
-    structural_hash_.emplace(key, id);
+    structural_hash_[slot] = id;
+    ++interned_count_;
     return id;
 }
 
 NodeId Netlist::find_gate(GateKind kind, NodeId a, NodeId b) const {
+    if (structural_hash_.empty()) {
+        return kInvalidNode;
+    }
     if (a > b) {
         std::swap(a, b);
     }
-    const detail::StructuralKey key{static_cast<std::uint8_t>(kind), a, b};
-    const auto it = structural_hash_.find(key);
-    return it != structural_hash_.end() ? it->second : kInvalidNode;
+    return structural_hash_[probe(kind, a, b)];
 }
 
 void Netlist::set_protected(NodeId id) {

@@ -37,11 +37,13 @@ namespace detail {
 /// Exact structural-hash key.  This replaces the former packed-word key
 /// ((kind << 60) | (a << 30) | b): node ids occupy 32 bits, so the 30-bit
 /// fields aliased distinct fanin pairs once ids crossed 2^30 — and because
-/// the key *is* the gate identity in the hash map, an aliased key did not
+/// a probe that matched an aliased key returned that key's gate, it did not
 /// merely slow a lookup down, it silently merged unrelated gates (flat
 /// m >= 1024 netlists head toward that cliff, and the optimizer re-interns
-/// whole netlists).  The struct compares field-exact; the hash may collide
-/// freely (collisions only cost probes, never identity).
+/// whole netlists).  Identity is the field-exact (kind, a, b) triple: the
+/// interning table stores only node ids and compares each probed slot's
+/// node against the triple, so the hash may collide freely (collisions
+/// only cost probes, never identity).
 struct StructuralKey {
     std::uint8_t kind = 0;
     NodeId a = kInvalidNode;
@@ -236,6 +238,13 @@ public:
 private:
     [[nodiscard]] NodeId intern(GateKind kind, NodeId a, NodeId b);
 
+    /// Slot of the interned gate (kind, a, b) in a non-empty table, or of
+    /// the empty slot where it would go.
+    [[nodiscard]] std::size_t probe(GateKind kind, NodeId a, NodeId b) const noexcept;
+
+    /// Doubles the table (or creates it) and re-inserts every interned id.
+    void grow_structural_hash();
+
     /// Throws std::length_error when appending one more node would reach
     /// kMaxNodes (ids must stay below the kInvalidNode sentinel).
     void check_capacity() const;
@@ -243,8 +252,12 @@ private:
     std::vector<Node> nodes_;
     std::vector<Port> inputs_;
     std::vector<Port> outputs_;
-    std::unordered_map<detail::StructuralKey, NodeId, detail::StructuralKeyHash>
-        structural_hash_;
+    /// Interning table: open addressing with linear probing over node ids,
+    /// hashed by detail::StructuralKeyHash of the node's (kind, a, b).
+    /// Size is zero or a power of two, kInvalidNode marks an empty slot, and
+    /// at most half the slots are full.  Only interned gates enter it.
+    std::vector<NodeId> structural_hash_;
+    std::size_t interned_count_ = 0;
     std::unordered_map<std::string, int> input_index_by_name_;
     std::vector<std::uint8_t> protected_;  ///< lazily sized; empty = no marks
     std::size_t protected_count_ = 0;

@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <queue>
+#include <stdexcept>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
@@ -25,32 +26,43 @@ std::vector<NodeId> seed_inputs(const Netlist& src, Netlist& dst) {
     return memo;
 }
 
-/// Plain structural rebuild (no restructuring) of `id` into `dst`.
+/// Plain structural rebuild (no restructuring) of `id` into `dst`.  Walks
+/// the cone iteratively on `stack` (caller-owned scratch, so deep chains
+/// never touch the call stack) and creates nodes in post-order, fanin b's
+/// cone before fanin a's.
 NodeId rebuild_plain(const Netlist& src, Netlist& dst, std::vector<NodeId>& memo,
-                     NodeId id) {
-    if (memo[id] != kInvalidNode) {
-        return memo[id];
+                     std::vector<NodeId>& stack, NodeId id) {
+    stack.assign(1, id);
+    while (!stack.empty()) {
+        const NodeId top = stack.back();
+        if (memo[top] != kInvalidNode) {
+            stack.pop_back();
+            continue;
+        }
+        const Node& n = src.node(top);
+        switch (n.kind) {
+            case GateKind::Input:
+                throw std::logic_error{"rebuild_plain: input was not seeded"};
+            case GateKind::Const0:
+                memo[top] = dst.const0();
+                break;
+            case GateKind::And2:
+            case GateKind::Xor2:
+                if (memo[n.b] == kInvalidNode) {
+                    stack.push_back(n.b);
+                    continue;
+                }
+                if (memo[n.a] == kInvalidNode) {
+                    stack.push_back(n.a);
+                    continue;
+                }
+                memo[top] = n.kind == GateKind::And2 ? dst.make_and(memo[n.a], memo[n.b])
+                                                     : dst.make_xor(memo[n.a], memo[n.b]);
+                break;
+        }
+        stack.pop_back();
     }
-    const Node& n = src.node(id);
-    NodeId result = kInvalidNode;
-    switch (n.kind) {
-        case GateKind::Input:
-            result = memo[id];  // seeded; unreachable here
-            break;
-        case GateKind::Const0:
-            result = dst.const0();
-            break;
-        case GateKind::And2:
-            result = dst.make_and(rebuild_plain(src, dst, memo, n.a),
-                                  rebuild_plain(src, dst, memo, n.b));
-            break;
-        case GateKind::Xor2:
-            result = dst.make_xor(rebuild_plain(src, dst, memo, n.a),
-                                  rebuild_plain(src, dst, memo, n.b));
-            break;
-    }
-    memo[id] = result;
-    return result;
+    return memo[id];
 }
 
 /// Collect the leaves of the XOR tree rooted at `root`, flattening through
@@ -255,7 +267,12 @@ public:
                 WireSet merged;
                 for (std::size_t i = 1; i < items_.size(); ++i) {
                     const Item& item = items_[i];
-                    if (item.taken || !WireSet::merge(support, item.support, merged)) {
+                    if (item.taken ||
+                        // Disjoint signatures mean overlap 0, which cannot
+                        // beat an item that already fits.
+                        (best_overlap >= 0 &&
+                         (support.signature & item.support.signature) == 0) ||
+                        !WireSet::merge(support, item.support, merged)) {
                         continue;
                     }
                     const int overlap = support.size + item.support.size - merged.size;
@@ -376,8 +393,9 @@ private:
 Netlist dce(const Netlist& nl) {
     Netlist out;
     auto memo = seed_inputs(nl, out);
+    std::vector<NodeId> stack;
     for (const auto& port : nl.outputs()) {
-        out.add_output(port.name, rebuild_plain(nl, out, memo, port.node));
+        out.add_output(port.name, rebuild_plain(nl, out, memo, stack, port.node));
     }
     return out;
 }
@@ -403,9 +421,13 @@ Netlist balance_xor_trees(const Netlist& nl) {
             case GateKind::Const0:
                 result = out.const0();
                 break;
-            case GateKind::And2:
-                result = out.make_and(self(self, n.a), self(self, n.b));
+            case GateKind::And2: {
+                // b's cone first, as in rebuild_plain; sequenced because
+                // argument evaluation order is unspecified.
+                const NodeId b = self(self, n.b);
+                result = out.make_and(self(self, n.a), b);
                 break;
+            }
             case GateKind::Xor2: {
                 const auto leaves = xor_leaves(
                     nl, id, [&](NodeId x) { return fanout[x] <= 1; });
@@ -431,12 +453,13 @@ Netlist balance_xor_trees(const Netlist& nl) {
 Netlist flatten_to_anf(const Netlist& nl) {
     Netlist out;
     auto memo = seed_inputs(nl, out);
+    std::vector<NodeId> stack;
     LutAwareXorBuilder builder{out};
 
     for (const auto& port : nl.outputs()) {
         const Node& n = nl.node(port.node);
         if (n.kind != GateKind::Xor2) {
-            out.add_output(port.name, rebuild_plain(nl, out, memo, port.node));
+            out.add_output(port.name, rebuild_plain(nl, out, memo, stack, port.node));
             continue;
         }
         // Expand through EVERY XOR node (shared or not): only the AND-level
@@ -445,7 +468,7 @@ Netlist flatten_to_anf(const Netlist& nl) {
         std::vector<NodeId> new_leaves;
         new_leaves.reserve(leaves.size());
         for (const NodeId leaf : leaves) {
-            new_leaves.push_back(rebuild_plain(nl, out, memo, leaf));
+            new_leaves.push_back(rebuild_plain(nl, out, memo, stack, leaf));
         }
         // Id order == creation order: products created together (e.g. the two
         // halves of a z term) stay adjacent, so identical subtrees reappear
@@ -459,6 +482,7 @@ Netlist flatten_to_anf(const Netlist& nl) {
 Netlist group_common_cones(const Netlist& nl) {
     Netlist out;
     auto memo = seed_inputs(nl, out);
+    std::vector<NodeId> stack;
     LutAwareXorBuilder builder{out};
 
     // 1. Full ANF leaf lists per output (old ids), duplicates cancelled.
@@ -472,7 +496,7 @@ Netlist group_common_cones(const Netlist& nl) {
                 xor_leaves(nl, root, [](NodeId) { return true; });
         } else {
             plain_outputs[static_cast<std::size_t>(oi)] =
-                rebuild_plain(nl, out, memo, root);
+                rebuild_plain(nl, out, memo, stack, root);
         }
     }
 
@@ -495,7 +519,7 @@ Netlist group_common_cones(const Netlist& nl) {
         std::vector<NodeId> new_leaves;
         new_leaves.reserve(leaves.size());
         for (const NodeId leaf : leaves) {
-            new_leaves.push_back(rebuild_plain(nl, out, memo, leaf));
+            new_leaves.push_back(rebuild_plain(nl, out, memo, stack, leaf));
         }
         std::sort(new_leaves.begin(), new_leaves.end());
         const NodeId unit = builder.build(new_leaves);
@@ -541,9 +565,13 @@ Netlist extract_common_xor_pairs(const Netlist& nl, int min_count) {
             case GateKind::Const0:
                 result = out.const0();
                 break;
-            case GateKind::And2:
-                result = out.make_and(self(self, n.a), self(self, n.b));
+            case GateKind::And2: {
+                // b's cone first, as in rebuild_plain; sequenced because
+                // argument evaluation order is unspecified.
+                const NodeId b = self(self, n.b);
+                result = out.make_and(self(self, n.a), b);
                 break;
+            }
             case GateKind::Xor2: {
                 const auto leaves = xor_leaves(
                     nl, id, [&](NodeId x) { return fanout[x] <= 1; });

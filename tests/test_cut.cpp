@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace gfr::fpga {
 namespace {
 
@@ -59,6 +61,23 @@ TEST(Cut, MergeIdentical) {
     const auto m = Cut::merge(a, a, 6);
     ASSERT_TRUE(m.has_value());
     EXPECT_TRUE(m->same_leaves(a));
+}
+
+TEST(Cut, MergeIntoOverwritesSlotAndVisitsLeavesInOrder) {
+    // The mapper merges into a reused candidate slot and folds depth and
+    // area flow through the visitor: leaves, size and signature must be
+    // rewritten, depth and area flow left to the caller.
+    Cut slot = make_cut({2, 3, 4, 6, 8, 10});
+    slot.depth = 7;
+    slot.area_flow = 3.5;
+    std::vector<netlist::NodeId> seen;
+    const auto visit = [&](netlist::NodeId leaf) { seen.push_back(leaf); };
+    ASSERT_TRUE(Cut::merge_into(make_cut({5, 7, 9}), make_cut({1, 5, 7}), 6, slot, visit));
+    EXPECT_TRUE(slot.same_leaves(make_cut({1, 5, 7, 9})));
+    EXPECT_EQ(seen, (std::vector<netlist::NodeId>{1, 5, 7, 9}));
+    EXPECT_EQ(slot.depth, 7);
+    EXPECT_EQ(slot.area_flow, 3.5);
+    EXPECT_FALSE(Cut::merge_into(make_cut({1, 2, 3}), make_cut({4, 5}), 4, slot, visit));
 }
 
 TEST(Cut, SameLeaves) {

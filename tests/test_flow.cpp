@@ -100,5 +100,28 @@ TEST(Flow, LargerFieldsCostMore) {
     EXPECT_GT(r64.area_time, r8.area_time);
 }
 
+TEST(Flow, DeepChainMapsAsGiven) {
+    // A 400k-gate XOR chain over two inputs: dce and the mapper's cone
+    // evaluation walk its full depth.  Both once recursed per level, which
+    // overflows a default 8 MiB stack at this depth.  Every gate is a
+    // function of a and b alone, so the whole chain maps into one LUT.
+    netlist::Netlist nl;
+    const netlist::NodeId a = nl.add_input("a");
+    const netlist::NodeId b = nl.add_input("b");
+    netlist::NodeId x = nl.make_and(a, b);
+    for (int i = 0; i < 400000; ++i) {
+        x = nl.make_xor(x, (i % 2 == 1) ? a : b);
+    }
+    nl.add_output("y", x);
+    const FlowResult result = run_flow(nl);
+    ASSERT_EQ(result.luts, 1);
+    // Lanes 0..3 carry (a, b) = (0,0), (1,0), (0,1), (1,1).
+    const std::uint64_t words[2] = {0b1010, 0b1100};
+    const auto want = netlist::simulate(nl, words);
+    const auto got = result.network.simulate(words);
+    ASSERT_EQ(got.size(), 1U);
+    EXPECT_EQ(got[0] & 0xFU, want[0] & 0xFU);
+}
+
 }  // namespace
 }  // namespace gfr::fpga

@@ -196,23 +196,23 @@ TEST_P(PassFuzz, OptPassesPreserveProtectedMarks) {
 
 TEST(PassAllocations, LutAwareBuildersUseDenseTables) {
     // flatten_to_anf and group_common_cones keep their LUT-aware tree
-    // builder's supports and levels in per-node arrays, so their allocations
-    // scale with the result, not with the absorb scan's work.  The output
-    // netlist's own structural hash allocates once per node;
-    // group_common_cones' signature maps also allocate per leaf.
+    // builder's supports and levels in per-node arrays, and the output
+    // netlist interns into one flat table that allocates per doubling, so
+    // their allocations scale with the result, not with the absorb scan's
+    // work.  group_common_cones' signature maps allocate per leaf.
     const field::Field fld = field::Field::type2(64, 23);
     const Netlist nl = dce(mult::build_multiplier(mult::Method::Date2018Flat, fld));
     {
         const testutil::AllocationGuard guard;
         const Netlist flat = flatten_to_anf(nl);
         const long allocations = guard.delta();
-        EXPECT_LE(allocations, 4 * static_cast<long>(flat.node_count()));
+        EXPECT_LE(allocations, static_cast<long>(flat.node_count()));
     }
     {
         const testutil::AllocationGuard guard;
         const Netlist grouped = group_common_cones(nl);
         const long allocations = guard.delta();
-        EXPECT_LE(allocations, 8 * static_cast<long>(grouped.node_count()));
+        EXPECT_LE(allocations, 3 * static_cast<long>(grouped.node_count()));
     }
 }
 

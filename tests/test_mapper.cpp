@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -149,6 +150,26 @@ TEST(Mapper, InvalidKThrows) {
     }
     opts.cuts_per_node = 1;
     EXPECT_EQ(map_to_luts(nl, opts).lut_count(), 0);
+}
+
+TEST(Mapper, VeryLongCutListStillMaps) {
+    // cuts_per_node only bounds the list; storage follows the cuts actually
+    // kept, so a huge bound maps like an unbounded enumeration.
+    const field::Field fld = field::Field::type2(8, 2);
+    const auto nl =
+        netlist::dce(mult::build_multiplier(mult::Method::Date2018Flat, fld));
+    for (const bool boundaries : {false, true}) {
+        MapperOptions opts;
+        opts.respect_fanout_boundaries = boundaries;
+        const auto default_net = map_to_luts(nl, opts);
+        for (const int cuts : {1 << 24, std::numeric_limits<int>::max()}) {
+            opts.cuts_per_node = cuts;
+            const auto net = map_to_luts(nl, opts);
+            expect_same_function(nl, net);
+            EXPECT_LE(net.depth(), default_net.depth())
+                << "boundaries=" << boundaries << " cuts=" << cuts;
+        }
+    }
 }
 
 TEST(Mapper, OutputAliasingInput) {

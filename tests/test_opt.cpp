@@ -9,6 +9,7 @@
 #include "multipliers/verify.h"
 #include "netlist/clone.h"
 #include "netlist/equivalence.h"
+#include "netlist/passes.h"
 #include "netlist/simulate.h"
 #include "opt/opt.h"
 #include "verify/fault_campaign.h"
@@ -17,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <new>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -69,6 +72,147 @@ TEST(StructuralKey, FindGateProbesWithoutCreating) {
     const NodeId fresh = nl.make_xor_fresh(a, b);
     EXPECT_NE(fresh, kInvalidNode);
     EXPECT_EQ(nl.find_gate(GateKind::Xor2, a, b), kInvalidNode);
+}
+
+TEST(StructuralKey, FlatTableKeepsIdentityThroughGrowth) {
+    // 6,320 distinct gates take the interning table through several
+    // doublings; afterwards every gate is found again under its own id,
+    // with its fanins in either order, and nothing new is created.
+    Netlist nl;
+    std::vector<NodeId> inputs;
+    for (int i = 0; i < 80; ++i) {
+        inputs.push_back(nl.add_input("i" + std::to_string(i)));
+    }
+    struct Gate {
+        GateKind kind;
+        NodeId a;
+        NodeId b;
+        NodeId id;
+    };
+    std::vector<Gate> gates;
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        for (std::size_t j = i + 1; j < inputs.size(); ++j) {
+            const NodeId a = inputs[i];
+            const NodeId b = inputs[j];
+            gates.push_back({GateKind::And2, a, b, nl.make_and(a, b)});
+            gates.push_back({GateKind::Xor2, a, b, nl.make_xor(a, b)});
+        }
+    }
+    ASSERT_GE(gates.size(), 5000U);
+    ASSERT_EQ(nl.node_count(), inputs.size() + gates.size());  // all distinct
+    const std::size_t count = nl.node_count();
+    std::size_t mismatches = 0;
+    for (const Gate& g : gates) {
+        const bool is_and = g.kind == GateKind::And2;
+        mismatches += (is_and ? nl.make_and(g.a, g.b) : nl.make_xor(g.a, g.b)) != g.id;
+        mismatches += (is_and ? nl.make_and(g.b, g.a) : nl.make_xor(g.b, g.a)) != g.id;
+        mismatches += nl.find_gate(g.kind, g.b, g.a) != g.id;
+    }
+    EXPECT_EQ(mismatches, 0U);
+    EXPECT_EQ(nl.node_count(), count);
+}
+
+TEST(StructuralKey, FailedGrowthKeepsEveryGate) {
+    // Growth allocates the doubled table before it releases the live one,
+    // so a growth that throws loses no interned gate.
+    Netlist nl;
+    std::vector<NodeId> inputs;
+    for (int i = 0; i < 10; ++i) {
+        inputs.push_back(nl.add_input("i" + std::to_string(i)));
+    }
+    std::vector<NodeId> gates;
+    for (std::size_t i = 0; i < inputs.size() && gates.size() < 32; ++i) {
+        for (std::size_t j = i + 1; j < inputs.size() && gates.size() < 32; ++j) {
+            gates.push_back(nl.make_xor(inputs[i], inputs[j]));
+        }
+    }
+    const std::size_t count = nl.node_count();
+    // 32 gates fill the first 64-slot table to half: the 33rd must grow it.
+    {
+        const testutil::FailNextAllocation fail;
+        EXPECT_THROW((void)nl.make_and(inputs[0], inputs[1]), std::bad_alloc);
+        EXPECT_TRUE(fail.fired());
+    }
+    EXPECT_EQ(nl.node_count(), count);
+    std::size_t missing = 0;
+    for (std::size_t g = 0; g < gates.size(); ++g) {
+        const auto& n = nl.node(gates[g]);
+        missing += nl.find_gate(GateKind::Xor2, n.b, n.a) != gates[g];
+    }
+    EXPECT_EQ(missing, 0U);
+    const NodeId grown = nl.make_and(inputs[0], inputs[1]);
+    EXPECT_EQ(grown, count);
+    EXPECT_EQ(nl.make_xor(inputs[1], inputs[0]), gates[0]);
+}
+
+TEST(StructuralKey, FindGateMissesAbsentFreshAndEmpty) {
+    Netlist empty;
+    EXPECT_EQ(empty.find_gate(GateKind::And2, 0, 1), kInvalidNode);
+    Netlist nl;
+    const NodeId a = nl.add_input("a");
+    const NodeId b = nl.add_input("b");
+    const NodeId c = nl.add_input("c");
+    EXPECT_EQ(nl.find_gate(GateKind::And2, a, b), kInvalidNode);  // no gate yet
+    const NodeId g = nl.make_and(a, b);
+    EXPECT_EQ(nl.find_gate(GateKind::Xor2, a, b), kInvalidNode);
+    EXPECT_EQ(nl.find_gate(GateKind::And2, a, c), kInvalidNode);
+    // A fresh gate, and a gate built with sharing off, never enter the
+    // table: their triples stay absent, and interning one makes a new node.
+    const NodeId fresh = nl.make_xor_fresh(b, c);
+    EXPECT_EQ(nl.find_gate(GateKind::Xor2, b, c), kInvalidNode);
+    nl.set_structural_sharing(false);
+    const NodeId literal = nl.make_and(a, c);
+    nl.set_structural_sharing(true);
+    EXPECT_EQ(nl.find_gate(GateKind::And2, a, c), kInvalidNode);
+    const NodeId interned = nl.make_xor(c, b);
+    EXPECT_NE(interned, fresh);
+    EXPECT_NE(nl.make_and(c, a), literal);
+    EXPECT_EQ(nl.find_gate(GateKind::Xor2, b, c), interned);
+    EXPECT_EQ(nl.find_gate(GateKind::And2, b, a), g);
+}
+
+TEST(StructuralKey, CopyInternsIndependently) {
+    Netlist src;
+    std::vector<NodeId> inputs;
+    for (int i = 0; i < 40; ++i) {
+        inputs.push_back(src.add_input("i" + std::to_string(i)));
+    }
+    const NodeId g = src.make_and(inputs[0], inputs[1]);
+    Netlist copy = src;
+    EXPECT_EQ(copy.make_and(inputs[1], inputs[0]), g);  // inherited entry
+    // Grow the copy's table well past the source's.
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        for (std::size_t j = i + 1; j < inputs.size(); ++j) {
+            (void)copy.make_xor(inputs[i], inputs[j]);
+        }
+    }
+    EXPECT_EQ(src.node_count(), inputs.size() + 1);
+    EXPECT_EQ(src.find_gate(GateKind::Xor2, inputs[0], inputs[1]), kInvalidNode);
+    // The source still interns on its own, into the id the copy used first.
+    const NodeId x = src.make_xor(inputs[0], inputs[1]);
+    EXPECT_EQ(x, copy.find_gate(GateKind::Xor2, inputs[0], inputs[1]));
+    EXPECT_EQ(src.make_and(inputs[0], inputs[1]), g);
+    EXPECT_EQ(src.node_count(), inputs.size() + 2);
+}
+
+TEST(StructuralKey, InterningDoesNotAllocatePerGate) {
+    // The interning table is one flat array: it allocates per doubling, not
+    // per gate.  (As a node-based hash map it made one allocation per
+    // interned gate: 8,829 for dce and 8,840 for strash here.)
+    const field::Field fld = field::Field::type2(64, 23);
+    const Netlist nl = mult::build_multiplier(mult::Method::Date2018Flat, fld);
+    const long budget = 2 * static_cast<long>(nl.inputs().size() + nl.outputs().size()) + 64;
+    EXPECT_EQ(budget, 448);
+    {
+        const testutil::AllocationGuard guard;
+        const Netlist cleaned = netlist::dce(nl);
+        EXPECT_LE(guard.delta(), budget);
+    }
+    {
+        const testutil::AllocationGuard guard;
+        const PassResult r = strash(nl);
+        EXPECT_LE(guard.delta(), budget);
+    }
 }
 
 // --- Widened statistics ------------------------------------------------------

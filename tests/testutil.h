@@ -42,10 +42,15 @@
 
 namespace gfr::testutil::detail {
 inline std::atomic<long> g_allocations{0};
+inline std::atomic<bool> g_fail_next_allocation{false};
 }  // namespace gfr::testutil::detail
 
 void* operator new(std::size_t size) {
     gfr::testutil::detail::g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (gfr::testutil::detail::g_fail_next_allocation.load(std::memory_order_relaxed) &&
+        gfr::testutil::detail::g_fail_next_allocation.exchange(false)) {
+        throw std::bad_alloc{};
+    }
     if (void* p = std::malloc(size)) {
         return p;
     }
@@ -89,6 +94,18 @@ public:
 
 private:
     long before_;
+};
+
+/// RAII fault injection: the first throwing `operator new` after
+/// construction throws std::bad_alloc instead of allocating.  Arm it right
+/// before the one call under test; `fired()` tells whether it was used.
+class FailNextAllocation {
+public:
+    FailNextAllocation() { detail::g_fail_next_allocation.store(true); }
+    ~FailNextAllocation() { detail::g_fail_next_allocation.store(false); }
+    FailNextAllocation(const FailNextAllocation&) = delete;
+    FailNextAllocation& operator=(const FailNextAllocation&) = delete;
+    [[nodiscard]] bool fired() const { return !detail::g_fail_next_allocation.load(); }
 };
 
 // --- Seeded PRNG -------------------------------------------------------------
