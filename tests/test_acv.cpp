@@ -15,8 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gfr::acv {
@@ -69,6 +71,119 @@ TEST(AcvProve, ProvesAllTableVFlatCells) {
             mult::Method::Date2018Flat, fld, mult::Elaboration::Literal);
         EXPECT_FALSE(prove_multiplier(literal, fld).has_value())
             << spec.label() << " date2018-raw";
+    });
+}
+
+struct GoldenProof {
+    int m = 0;
+    int n = 0;
+    std::string_view name;  ///< method key; "date2018-raw" = literal elaboration
+    std::size_t expansion_events = 0;
+    std::size_t peak_column_monomials = 0;
+    std::size_t netlist_monomials = 0;
+};
+
+// Single-thread ProofStats of the 63 verdict netlists: fields in
+// field::table5_fields() order, per field the Table V methods in
+// mult::all_methods() order, then date2018-raw.
+constexpr GoldenProof kGoldenProofs[] = {
+    {8, 2, "paar", 206, 24, 150},
+    {8, 2, "rashidi", 292, 24, 150},
+    {8, 2, "reyhani", 234, 36, 150},
+    {8, 2, "imana2012", 292, 24, 150},
+    {8, 2, "imana2016", 292, 24, 150},
+    {8, 2, "date2018", 292, 24, 150},
+    {8, 2, "date2018-raw", 292, 24, 150},
+    {64, 23, "paar", 15053, 316, 11021},
+    {64, 23, "rashidi", 21978, 316, 11021},
+    {64, 23, "reyhani", 16663, 448, 11021},
+    {64, 23, "imana2012", 21978, 316, 11021},
+    {64, 23, "imana2016", 21978, 316, 11021},
+    {64, 23, "date2018", 21978, 316, 11021},
+    {64, 23, "date2018-raw", 21978, 316, 11021},
+    {113, 4, "paar", 44450, 455, 31794},
+    {113, 4, "rashidi", 63475, 455, 31794},
+    {113, 4, "reyhani", 44502, 473, 31794},
+    {113, 4, "imana2012", 63475, 455, 31794},
+    {113, 4, "imana2016", 63475, 455, 31794},
+    {113, 4, "date2018", 63475, 455, 31794},
+    {113, 4, "date2018-raw", 63475, 455, 31794},
+    {113, 34, "paar", 46265, 545, 33609},
+    {113, 34, "rashidi", 67105, 545, 33609},
+    {113, 34, "reyhani", 49767, 743, 33609},
+    {113, 34, "imana2012", 67105, 545, 33609},
+    {113, 34, "imana2016", 67105, 545, 33609},
+    {113, 34, "date2018", 67105, 545, 33609},
+    {113, 34, "date2018-raw", 67105, 545, 33609},
+    {122, 49, "paar", 55565, 626, 40803},
+    {122, 49, "rashidi", 81484, 626, 40803},
+    {122, 49, "reyhani", 62817, 914, 40803},
+    {122, 49, "imana2012", 81484, 626, 40803},
+    {122, 49, "imana2016", 81484, 626, 40803},
+    {122, 49, "date2018", 81484, 626, 40803},
+    {122, 49, "date2018-raw", 81484, 626, 40803},
+    {139, 59, "paar", 72707, 724, 53525},
+    {139, 59, "rashidi", 106911, 724, 53525},
+    {139, 59, "reyhani", 83209, 1072, 53525},
+    {139, 59, "imana2012", 106911, 724, 53525},
+    {139, 59, "imana2016", 106911, 724, 53525},
+    {139, 59, "date2018", 106911, 724, 53525},
+    {139, 59, "date2018-raw", 106911, 724, 53525},
+    {148, 72, "paar", 78923, 653, 57167},
+    {148, 72, "rashidi", 114186, 653, 57167},
+    {148, 72, "reyhani", 99949, 1225, 57167},
+    {148, 72, "imana2012", 114186, 653, 57167},
+    {148, 72, "imana2016", 114186, 653, 57167},
+    {148, 72, "date2018", 114186, 653, 57167},
+    {148, 72, "date2018-raw", 114186, 653, 57167},
+    {163, 66, "paar", 99352, 841, 72946},
+    {163, 66, "rashidi", 145729, 841, 72946},
+    {163, 66, "reyhani", 112486, 1231, 72946},
+    {163, 66, "imana2012", 145729, 841, 72946},
+    {163, 66, "imana2016", 145729, 841, 72946},
+    {163, 66, "date2018", 145729, 841, 72946},
+    {163, 66, "date2018-raw", 145729, 841, 72946},
+    {163, 68, "paar", 99761, 847, 73355},
+    {163, 68, "rashidi", 146547, 847, 73355},
+    {163, 68, "reyhani", 113701, 1249, 73355},
+    {163, 68, "imana2012", 146547, 847, 73355},
+    {163, 68, "imana2016", 146547, 847, 73355},
+    {163, 68, "date2018", 146547, 847, 73355},
+    {163, 68, "date2018-raw", 146547, 847, 73355},
+};
+
+TEST(AcvProve, PinsProofStatsOfEveryVerdictNetlist) {
+    // Backward rewriting must expand the same gates in the same order: the
+    // exact work counters of every Table V proof are pinned, not just the
+    // verdict.
+    ASSERT_EQ(std::size(kGoldenProofs), 63U);
+    std::size_t total_events = 0;
+    for (const auto& row : kGoldenProofs) {
+        total_events += row.expansion_events;
+    }
+    EXPECT_EQ(total_events, 4834145U);
+    const GoldenProof* want = kGoldenProofs;
+    testutil::for_each_table5_field([&](const field::FieldSpec& spec,
+                                        const field::Field& fld) {
+        const auto check = [&](std::string_view name, const netlist::Netlist& nl) {
+            SCOPED_TRACE(spec.label() + " " + std::string{name});
+            ASSERT_EQ(want->m, spec.m);
+            ASSERT_EQ(want->n, spec.n);
+            ASSERT_EQ(want->name, name);
+            ProofStats stats;
+            EXPECT_FALSE(prove_multiplier(nl, fld, {.threads = 1}, &stats).has_value());
+            EXPECT_EQ(stats.expansion_events, want->expansion_events);
+            EXPECT_EQ(stats.peak_column_monomials, want->peak_column_monomials);
+            EXPECT_EQ(stats.netlist_monomials, want->netlist_monomials);
+            ++want;
+        };
+        for (const auto& info : mult::all_methods()) {
+            if (info.in_table5) {
+                check(info.key, mult::build_multiplier(info.method, fld));
+            }
+        }
+        check("date2018-raw", mult::build_multiplier(mult::Method::Date2018Flat, fld,
+                                                     mult::Elaboration::Literal));
     });
 }
 

@@ -9,6 +9,7 @@
 #include "multipliers/golden_tables.h"
 #include "multipliers/verify.h"
 #include "netlist/equivalence.h"
+#include "testutil.h"
 
 #include <gtest/gtest.h>
 
@@ -117,6 +118,19 @@ TEST(GoldenTables, AllThreePairwiseEquivalent) {
     EXPECT_FALSE(netlist::check_equivalence(t1, t3).has_value());
     EXPECT_FALSE(netlist::check_equivalence(t1, t4).has_value());
     EXPECT_FALSE(netlist::check_equivalence(t3, t4).has_value());
+}
+
+TEST(GoldenTables, NetlistsPinnedNodeForNode) {
+    // Node ids must not depend on the compiler's argument evaluation order:
+    // the three netlists are pinned node for node (testutil::
+    // netlist_fingerprint), so a build that creates two operands' nodes in
+    // the other order fails here.
+    EXPECT_EQ(testutil::netlist_fingerprint(golden_table1_netlist()),
+              0xcbc006a0143a5f1cULL);
+    EXPECT_EQ(testutil::netlist_fingerprint(golden_table3_netlist()),
+              0xb75fb46917bd8fe7ULL);
+    EXPECT_EQ(testutil::netlist_fingerprint(golden_table4_netlist()),
+              0x5a63bc1fafd6109eULL);
 }
 
 TEST(GoldenTables, Table4FlatHasNoNestedStructure) {

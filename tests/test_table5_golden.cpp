@@ -12,6 +12,7 @@
 #include "fpga/flow.h"
 #include "multipliers/generator.h"
 #include "report/table.h"
+#include "testutil.h"
 
 #include <gtest/gtest.h>
 
@@ -39,24 +40,18 @@ struct GoldenRow {
 /// FNV-1a over every LUT in order (fanin count, fanin refs, truth table),
 /// then over every output ref; each value is fed as 8 little-endian bytes.
 std::uint64_t network_fingerprint(const LutNetwork& net) {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    auto feed = [&h](std::uint64_t v) {
-        for (int byte = 0; byte < 8; ++byte) {
-            h ^= (v >> (8 * byte)) & 0xFFU;
-            h *= 0x100000001b3ULL;
-        }
-    };
+    testutil::Fingerprint fp;
     for (const auto& lut : net.luts) {
-        feed(lut.fanins.size());
+        fp.feed(lut.fanins.size());
         for (const std::int32_t ref : lut.fanins) {
-            feed(static_cast<std::uint64_t>(static_cast<std::int64_t>(ref)));
+            fp.feed(static_cast<std::uint64_t>(static_cast<std::int64_t>(ref)));
         }
-        feed(lut.truth);
+        fp.feed(lut.truth);
     }
     for (const auto& out : net.outputs) {
-        feed(static_cast<std::uint64_t>(static_cast<std::int64_t>(out.second)));
+        fp.feed(static_cast<std::uint64_t>(static_cast<std::int64_t>(out.second)));
     }
-    return h;
+    return fp.value();
 }
 
 // Fields in field::table5_fields() order, methods in mult::all_methods()
