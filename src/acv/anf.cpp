@@ -57,6 +57,7 @@ bool ColumnExpander::emit(const Monomial& mono, std::vector<Monomial>& out) {
     } else {
         if (buckets_[best].empty()) {
             touched_.push_back(best);
+            std::push_heap(touched_.begin(), touched_.end());
         }
         buckets_[best].push_back(mono);
         ++live_;
@@ -93,13 +94,14 @@ ColumnExpander::Status ColumnExpander::expand(NodeId root,
     Status status = emit(seed, out) ? Status::Ok : Status::MonomialCap;
 
     // Reverse-topological substitution: every emission targets a strictly
-    // smaller gate id (fanins precede their gate), so one descending scan
-    // from the root expands each gate exactly once.
-    for (NodeId id = root + 1; status == Status::Ok && id-- > 0;) {
+    // smaller gate id (fanins precede their gate), so popping the largest
+    // pending bucket off the max-heap visits the non-empty buckets in
+    // descending id order and expands each gate exactly once.
+    while (status == Status::Ok && !touched_.empty()) {
+        std::pop_heap(touched_.begin(), touched_.end());
+        const NodeId id = touched_.back();
+        touched_.pop_back();
         std::vector<Monomial>& bucket = buckets_[id];
-        if (bucket.empty()) {
-            continue;
-        }
         work_.clear();
         std::swap(work_, bucket);  // capacities circulate instead of churning
         live_ -= work_.size();
@@ -141,7 +143,8 @@ ColumnExpander::Status ColumnExpander::expand(NodeId root,
     }
 
     if (status != Status::Ok) {
-        // Leave the expander reusable: record how far it got, drop the rest.
+        // Leave the expander reusable: record how far it got, drop the
+        // buckets still pending.
         for (const NodeId id : touched_) {
             buckets_[id].clear();
         }

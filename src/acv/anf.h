@@ -15,7 +15,9 @@
 //
 //   - Substitution strictly decreases the maximal gate variable of a
 //     monomial (fanin id < gate id), so bucketing monomials by that maximum
-//     and scanning ids downward visits each gate exactly once.
+//     and always expanding the highest pending bucket next (a max-heap of
+//     the buckets holding monomials) visits each gate exactly once, without
+//     touching the ids whose buckets stay empty.
 //   - Identical monomials share the same maximal gate variable, so they
 //     always meet in the same bucket *before* it is expanded — per-bucket
 //     parity deduplication is the only cancellation the algorithm ever
@@ -144,7 +146,7 @@ private:
 
     const netlist::Netlist* nl_;
     std::vector<std::vector<Monomial>> buckets_;  ///< by maximal gate var
-    std::vector<netlist::NodeId> touched_;        ///< buckets holding monomials
+    std::vector<netlist::NodeId> touched_;        ///< max-heap: buckets holding monomials
     std::vector<Monomial> work_;
     std::size_t live_ = 0;  ///< monomials currently in buckets
     std::size_t cap_ = 0;

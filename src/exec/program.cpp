@@ -21,25 +21,34 @@ constexpr std::int64_t kNeverUsed = -1;
 constexpr std::int64_t kFreed = -2;
 
 /// One scheduled definition, still in value-id space (slots come later).
+/// Its operands are the value ids args[arg_begin, arg_begin + arg_count) of
+/// the Builder's operand pool.
 struct ValueDef {
     Op op = Op::Xor2;
     std::uint32_t value = 0;  ///< value id this instruction defines
     std::uint32_t aux = 0;    ///< Op::AndXorN: pair count
+    std::uint32_t arg_begin = 0;
+    std::uint32_t arg_count = 0;
     std::uint64_t truth = 0;  ///< Op::Lut only
-    std::vector<std::uint32_t> args;
 };
 
 /// Compile-time intermediate shared by both front ends: a post-order
-/// schedule over a dense value-id space, plus the interface bindings.
+/// schedule over a dense value-id space, one operand pool for all of its
+/// definitions, plus the interface bindings.
 struct Builder {
     std::size_t n_values = 0;
     std::vector<ValueDef> sched;
+    std::vector<std::uint32_t> args;  ///< operand pool, value ids
     /// (input index, value id) for every primary input, in interface order.
     std::vector<std::pair<std::uint32_t, std::uint32_t>> inputs;
     std::vector<std::uint32_t> outputs;  ///< value id per output port
     std::uint32_t zero_value = kNoValue;
     int n_inputs_total = 0;
     int n_outputs_total = 0;
+
+    [[nodiscard]] std::span<const std::uint32_t> operands(const ValueDef& def) const {
+        return {args.data() + def.arg_begin, def.arg_count};
+    }
 };
 
 /// Iterative depth-first post-order from the outputs: values are scheduled
@@ -108,14 +117,14 @@ void hoist_common_pairs(Builder& b, int min_count) {
             if (def.op != Op::XorN && def.op != Op::AndXorN) {
                 continue;
             }
+            const auto ops = b.operands(def);
             const std::size_t begin = singles_begin(def);
-            if (def.args.size() < begin + 2) {
+            if (ops.size() < begin + 2) {
                 continue;
             }
-            const std::size_t end =
-                std::min(def.args.size(), begin + kMaxSinglesCounted);
-            uniq.assign(def.args.begin() + static_cast<std::ptrdiff_t>(begin),
-                        def.args.begin() + static_cast<std::ptrdiff_t>(end));
+            const std::size_t end = std::min(ops.size(), begin + kMaxSinglesCounted);
+            uniq.assign(ops.begin() + static_cast<std::ptrdiff_t>(begin),
+                        ops.begin() + static_cast<std::ptrdiff_t>(end));
             std::sort(uniq.begin(), uniq.end());
             uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
             for (std::size_t i = 0; i < uniq.size(); ++i) {
@@ -155,16 +164,17 @@ void hoist_common_pairs(Builder& b, int min_count) {
                 if (def.op != Op::XorN && def.op != Op::AndXorN) {
                     return false;
                 }
+                const auto ops = b.operands(def);
                 const std::size_t begin = singles_begin(def);
-                ix = iy = def.args.size();
-                for (std::size_t k = begin; k < def.args.size(); ++k) {
-                    if (def.args[k] == x && ix == def.args.size()) {
+                ix = iy = ops.size();
+                for (std::size_t k = begin; k < ops.size(); ++k) {
+                    if (ops[k] == x && ix == ops.size()) {
                         ix = k;
-                    } else if (def.args[k] == y && iy == def.args.size()) {
+                    } else if (ops[k] == y && iy == ops.size()) {
                         iy = k;
                     }
                 }
-                return ix != def.args.size() && iy != def.args.size();
+                return ix != ops.size() && iy != ops.size();
             };
             // Dry scan first: overlaps with already-applied pairs may have
             // consumed occurrences, and a pair no longer clearing the
@@ -192,13 +202,20 @@ void hoist_common_pairs(Builder& b, int min_count) {
                     if (iy < ix) {
                         std::swap(ix, iy);
                     }
-                    def.args.erase(def.args.begin() +
-                                   static_cast<std::ptrdiff_t>(iy));
-                    def.args.erase(def.args.begin() +
-                                   static_cast<std::ptrdiff_t>(ix));
-                    def.args.push_back(v);
+                    // Drop operands ix and iy and append v, in place: the
+                    // list shrinks by one inside its own pool range and the
+                    // other operands keep their order.
+                    std::uint32_t* ops = b.args.data() + def.arg_begin;
+                    std::size_t kept = ix;
+                    for (std::size_t k = ix + 1; k < def.arg_count; ++k) {
+                        if (k != iy) {
+                            ops[kept++] = ops[k];
+                        }
+                    }
+                    ops[kept] = v;
+                    --def.arg_count;
                     first_user = std::min(first_user, t);
-                    if (def.op == Op::XorN && def.args.size() == 2) {
+                    if (def.op == Op::XorN && def.arg_count == 2) {
                         def.op = Op::Xor2;
                     }
                 }
@@ -218,11 +235,14 @@ void hoist_common_pairs(Builder& b, int min_count) {
                     ValueDef def;
                     def.op = Op::Xor2;
                     def.value = nd.value;
-                    def.args = {nd.x, nd.y};
-                    rebuilt.push_back(std::move(def));
+                    def.arg_begin = static_cast<std::uint32_t>(b.args.size());
+                    def.arg_count = 2;
+                    b.args.push_back(nd.x);
+                    b.args.push_back(nd.y);
+                    rebuilt.push_back(def);
                 }
             }
-            rebuilt.push_back(std::move(b.sched[t]));
+            rebuilt.push_back(b.sched[t]);
         }
         b.sched = std::move(rebuilt);
     }
@@ -259,7 +279,7 @@ struct Linker {
         // feed an output port stay live past the end of the tape.
         std::vector<std::int64_t> last_use(b.n_values, kNeverUsed);
         for (std::int64_t t = 0; t < n_insns; ++t) {
-            for (const std::uint32_t a : b.sched[static_cast<std::size_t>(t)].args) {
+            for (const std::uint32_t a : b.operands(b.sched[static_cast<std::size_t>(t)])) {
                 last_use[a] = t;
             }
         }
@@ -288,6 +308,7 @@ struct Linker {
         if (p.uses_zero_slot_) {
             slot_of[b.zero_value] = 0;
         }
+        p.input_loads_.reserve(b.inputs.size());
         for (const auto& [input_index, value] : b.inputs) {
             if (last_use[value] == kNeverUsed) {
                 continue;  // dead input: never loaded
@@ -298,14 +319,15 @@ struct Linker {
         }
 
         p.insns_.reserve(b.sched.size());
-        std::vector<std::uint32_t> slots;
-        std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+        p.args_.reserve(b.args.size());
+        std::vector<std::uint64_t> pair_keys;
         for (std::int64_t t = 0; t < n_insns; ++t) {
-            ValueDef& def = b.sched[static_cast<std::size_t>(t)];
+            const ValueDef& def = b.sched[static_cast<std::size_t>(t)];
+            const auto ops = b.operands(def);
             // Free the slots of args this instruction consumes for the last
             // time; the executor reads every operand before writing dst, so
             // dst may legally reuse one of them in the same step.
-            for (const std::uint32_t a : def.args) {
+            for (const std::uint32_t a : ops) {
                 if (last_use[a] == t) {
                     free_slots.push_back(slot_of[a]);
                     last_use[a] = kFreed;  // duplicate operands free only once
@@ -315,16 +337,15 @@ struct Linker {
             insn.op = def.op;
             insn.dst = alloc();
             insn.arg_begin = static_cast<std::uint32_t>(p.args_.size());
-            insn.arg_count = static_cast<std::uint32_t>(def.args.size());
+            insn.arg_count = def.arg_count;
             if (def.op == Op::Lut) {
                 insn.aux = static_cast<std::uint32_t>(p.truths_.size());
                 p.truths_.push_back(def.truth);
             } else {
                 insn.aux = def.aux;
             }
-            slots.clear();
-            for (const std::uint32_t a : def.args) {
-                slots.push_back(slot_of[a]);
+            for (const std::uint32_t a : ops) {
+                p.args_.push_back(slot_of[a]);
             }
             // Operand lists execute in ascending slot order: AND/XOR
             // accumulates are commutative, so sorting costs nothing
@@ -333,33 +354,34 @@ struct Linker {
             // AndXorN keeps its pair structure (pairs first, each sorted
             // internally, then ordered by key; singles sorted after); Lut
             // operands stay put — their order indexes the truth table.
+            const auto first = p.args_.begin() + static_cast<std::ptrdiff_t>(insn.arg_begin);
             switch (def.op) {
                 case Op::And2:
                 case Op::Xor2:
                 case Op::XorN:
-                    std::sort(slots.begin(), slots.end());
+                    std::sort(first, p.args_.end());
                     break;
                 case Op::AndXorN: {
+                    // A pair packed as min << 32 | max orders exactly as the
+                    // pair (min, max) does.
                     const std::size_t np = def.aux;
-                    pairs.clear();
+                    pair_keys.clear();
                     for (std::size_t q = 0; q < np; ++q) {
-                        const std::uint32_t x = slots[2 * q];
-                        const std::uint32_t y = slots[2 * q + 1];
-                        pairs.emplace_back(std::min(x, y), std::max(x, y));
+                        const std::uint64_t x = first[2 * q];
+                        const std::uint64_t y = first[2 * q + 1];
+                        pair_keys.push_back(std::min(x, y) << 32U | std::max(x, y));
                     }
-                    std::sort(pairs.begin(), pairs.end());
+                    std::sort(pair_keys.begin(), pair_keys.end());
                     for (std::size_t q = 0; q < np; ++q) {
-                        slots[2 * q] = pairs[q].first;
-                        slots[2 * q + 1] = pairs[q].second;
+                        first[2 * q] = static_cast<std::uint32_t>(pair_keys[q] >> 32U);
+                        first[2 * q + 1] = static_cast<std::uint32_t>(pair_keys[q]);
                     }
-                    std::sort(slots.begin() + static_cast<std::ptrdiff_t>(2 * np),
-                              slots.end());
+                    std::sort(first + static_cast<std::ptrdiff_t>(2 * np), p.args_.end());
                     break;
                 }
                 case Op::Lut:
                     break;
             }
-            p.args_.insert(p.args_.end(), slots.begin(), slots.end());
             slot_of[def.value] = insn.dst;
             p.insns_.push_back(insn);
         }
@@ -387,135 +409,145 @@ Program Program::compile(const netlist::Netlist& nl,
     using netlist::NodeId;
     const std::size_t n = nl.node_count();
 
-    // Consumer census over the reachable subgraph, split by consumer kind:
-    // an Xor2 with exactly one consumer, itself an Xor2 gate, is an interior
-    // tree node and fuses into its root's accumulate instruction.
-    const auto reachable = nl.reachable_from_outputs();
-    std::vector<std::uint32_t> xor_uses(n, 0);
-    std::vector<std::uint32_t> other_uses(n, 0);
-    for (NodeId id = 0; id < n; ++id) {
-        if (!reachable[id]) {
+    // Consumer census over the reachable subgraph, in one sweep.  Node ids
+    // are a topological order (every fanin id is below its gate's id), so a
+    // walk from the top id down marks each reachable node before reaching
+    // it, and a node's census is final once the walk gets there: all its
+    // consumers have higher ids.  use[v] keeps what the compiler needs: v is
+    // unreached, or its one consumer is an Xor2 gate, or anything else (two
+    // or more consumers, an And2 consumer, an output port).  An Xor2 whose
+    // one consumer is an Xor2 is an interior tree node and fuses into its
+    // root's accumulate instruction; an And2 in that position is inlined.
+    enum : std::uint8_t { kUnreached, kOneXorUse, kOtherUse };
+    std::vector<std::uint8_t> use(n, kUnreached);
+    for (const auto& port : nl.outputs()) {
+        use[port.node] = kOtherUse;
+    }
+    std::size_t n_gates = 0;
+    for (std::size_t id = n; id-- > 0;) {
+        if (use[id] == kUnreached) {
             continue;
         }
-        const netlist::Node& node = nl.node(id);
-        if (node.kind == GateKind::And2 || node.kind == GateKind::Xor2) {
-            auto& uses = (node.kind == GateKind::Xor2) ? xor_uses : other_uses;
-            ++uses[node.a];
-            ++uses[node.b];
+        const netlist::Node& node = nl.node(static_cast<NodeId>(id));
+        if (node.kind == GateKind::Xor2) {
+            for (const NodeId fanin : {node.a, node.b}) {
+                use[fanin] = use[fanin] == kUnreached ? kOneXorUse : kOtherUse;
+            }
+            ++n_gates;
+        } else if (node.kind == GateKind::And2) {
+            use[node.a] = kOtherUse;
+            use[node.b] = kOtherUse;
+            ++n_gates;
         }
     }
-    for (const auto& port : nl.outputs()) {
-        ++other_uses[port.node];
-    }
-    std::vector<bool> interior(n, false);
-    for (NodeId id = 0; id < n; ++id) {
-        interior[id] = reachable[id] && nl.node(id).kind == GateKind::Xor2 &&
-                       xor_uses[id] == 1 && other_uses[id] == 0;
-    }
+    const auto fused = [&](NodeId v) { return use[v] == kOneXorUse; };
 
-    // Operand lists per schedulable gate.  XOR roots expand their fused leaf
-    // set by walking interior nodes; ANDs keep their two fanins.  Interior
-    // nodes have exactly one consumer, so each lands in exactly one root's
-    // list and expansion is linear in the XOR count.  Duplicate leaves (one
-    // value reached through two interior branches) are kept: XOR-ing a word
-    // twice contributes zero, exactly as the gate tree computes.
+    // Operand lists per schedulable gate, appended to one pool (at most two
+    // operands per reachable gate).  XOR roots expand their fused leaf set by
+    // walking interior nodes; ANDs keep their two fanins.  Interior nodes
+    // have exactly one consumer, so each lands in exactly one root's list
+    // and expansion is linear in the XOR count.  Duplicate leaves (one value
+    // reached through two interior branches) are kept: XOR-ing a word twice
+    // contributes zero, exactly as the gate tree computes.
     //
     // AND inlining: a leaf that is an And2 with exactly one consumer (this
     // tree) never materialises — the root instruction becomes AndXorN and
     // carries the AND's two fanins as an operand pair, turning a whole
-    // partial-product column into one instruction.  pair_count[id] holds the
-    // number of leading pairs in operands[id] (pairs first, singles after).
-    std::vector<std::vector<std::uint32_t>> operands(n);
-    std::vector<std::uint32_t> pair_count(n, 0);
-    std::vector<std::uint32_t> walk;
-    std::vector<std::uint32_t> singles;
+    // partial-product column into one instruction.  The pairs come first in
+    // the list, the singles after, each in walk order.
+    struct OperandRange {
+        std::uint32_t begin = 0;
+        std::uint32_t count = 0;
+        std::uint32_t pairs = 0;  ///< leading inlined AND pairs
+    };
+    std::vector<OperandRange> operands(n);
+    Builder b;
+    b.args.reserve(2 * n_gates);
+    std::size_t n_defs = 0;
+    std::vector<NodeId> walk;
+    std::vector<NodeId> singles;
     for (NodeId id = 0; id < n; ++id) {
-        if (!reachable[id] || interior[id]) {
+        if (use[id] == kUnreached || fused(id)) {
             continue;
         }
         const netlist::Node& node = nl.node(id);
+        if (node.kind != GateKind::And2 && node.kind != GateKind::Xor2) {
+            continue;
+        }
+        OperandRange& range = operands[id];
+        range.begin = static_cast<std::uint32_t>(b.args.size());
         if (node.kind == GateKind::And2) {
-            operands[id] = {node.a, node.b};
-            continue;
-        }
-        if (node.kind != GateKind::Xor2) {
-            continue;
-        }
-        walk.clear();
-        singles.clear();
-        walk.push_back(node.b);
-        walk.push_back(node.a);
-        auto& out = operands[id];
-        while (!walk.empty()) {
-            const NodeId v = walk.back();
-            walk.pop_back();
-            if (interior[v]) {
+            b.args.push_back(node.a);
+            b.args.push_back(node.b);
+        } else {
+            walk.clear();
+            singles.clear();
+            walk.push_back(node.b);
+            walk.push_back(node.a);
+            while (!walk.empty()) {
+                const NodeId v = walk.back();
+                walk.pop_back();
                 const netlist::Node& nv = nl.node(v);
-                walk.push_back(nv.b);
-                walk.push_back(nv.a);
-                continue;
+                if (fused(v) && nv.kind == GateKind::Xor2) {
+                    walk.push_back(nv.b);
+                    walk.push_back(nv.a);
+                } else if (fused(v) && nv.kind == GateKind::And2) {
+                    b.args.push_back(nv.a);  // inlined pair
+                    b.args.push_back(nv.b);
+                    ++range.pairs;
+                } else {
+                    singles.push_back(v);
+                }
             }
-            const netlist::Node& leaf = nl.node(v);
-            if (leaf.kind == GateKind::And2 && xor_uses[v] + other_uses[v] == 1) {
-                out.push_back(leaf.a);  // inlined pair
-                out.push_back(leaf.b);
-                ++pair_count[id];
-            } else {
-                singles.push_back(v);
-            }
+            b.args.insert(b.args.end(), singles.begin(), singles.end());
         }
-        out.insert(out.end(), singles.begin(), singles.end());
+        range.count = static_cast<std::uint32_t>(b.args.size()) - range.begin;
+        ++n_defs;
     }
 
-    Builder b;
     b.n_values = n;
     b.n_inputs_total = static_cast<int>(nl.inputs().size());
     b.n_outputs_total = static_cast<int>(nl.outputs().size());
+    b.inputs.reserve(nl.inputs().size());
     for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
         b.inputs.emplace_back(static_cast<std::uint32_t>(i), nl.inputs()[i].node);
     }
-    std::vector<std::uint32_t> roots;
-    roots.reserve(nl.outputs().size());
+    b.outputs.reserve(nl.outputs().size());
     for (const auto& port : nl.outputs()) {
         b.outputs.push_back(port.node);
-        roots.push_back(port.node);
     }
+    b.sched.reserve(n_defs);
 
     const auto deps = [&](std::uint32_t v) -> std::span<const std::uint32_t> {
-        return operands[v];
+        return {b.args.data() + operands[v].begin, operands[v].count};
     };
     const auto emit = [&](std::uint32_t v) {
-        const netlist::Node& node = nl.node(v);
-        switch (node.kind) {
+        const OperandRange& range = operands[v];
+        ValueDef def;
+        def.value = v;
+        def.arg_begin = range.begin;
+        def.arg_count = range.count;
+        switch (nl.node(v).kind) {
             case GateKind::Input:
                 return;
             case GateKind::Const0:
                 b.zero_value = v;
                 return;
-            case GateKind::And2: {
-                ValueDef def;
+            case GateKind::And2:
                 def.op = Op::And2;
-                def.value = v;
-                def.args = std::move(operands[v]);
-                b.sched.push_back(std::move(def));
-                return;
-            }
-            case GateKind::Xor2: {
-                ValueDef def;
-                def.value = v;
-                if (pair_count[v] > 0) {
+                break;
+            case GateKind::Xor2:
+                if (range.pairs > 0) {
                     def.op = Op::AndXorN;
-                    def.aux = pair_count[v];
+                    def.aux = range.pairs;
                 } else {
-                    def.op = operands[v].size() == 2 ? Op::Xor2 : Op::XorN;
+                    def.op = range.count == 2 ? Op::Xor2 : Op::XorN;
                 }
-                def.args = std::move(operands[v]);
-                b.sched.push_back(std::move(def));
-                return;
-            }
+                break;
         }
+        b.sched.push_back(def);
     };
-    schedule_post_order(n, roots, deps, emit);
+    schedule_post_order(n, b.outputs, deps, emit);
     if (options.hoist_common_pairs) {
         hoist_common_pairs(b, options.min_pair_occurrences);
     }
@@ -532,10 +564,22 @@ Program Program::compile(const fpga::LutNetwork& net) {
     const auto value_of_ref = [&](std::int32_t ref) -> std::uint32_t {
         return ref < 0 ? zero_value : static_cast<std::uint32_t>(ref);
     };
+    // Refs below `limit`, or the constant.  The scheduler relies on every
+    // LUT reading only topologically earlier refs.
+    const auto valid_ref = [](std::int32_t ref, std::size_t limit) {
+        return ref == fpga::LutNetwork::kConst0Ref ||
+               (ref >= 0 && static_cast<std::size_t>(ref) < limit);
+    };
 
-    // Per-LUT operand lists in value-id space, plus the lowered op: pure
+    // Per-LUT operand ranges in value-id space, plus the lowered op: pure
     // parity cones become fused XOR instructions, 2-input AND stays binary,
     // everything else evaluates its truth table bitsliced.
+    Builder b;
+    std::size_t n_fanins = 0;
+    for (const auto& lut : net.luts) {
+        n_fanins += lut.fanins.size();
+    }
+    b.args.reserve(n_fanins);
     std::vector<ValueDef> defs(n_luts);
     for (std::size_t i = 0; i < n_luts; ++i) {
         const auto& lut = net.luts[i];
@@ -545,9 +589,14 @@ Program Program::compile(const fpga::LutNetwork& net) {
         }
         ValueDef& def = defs[i];
         def.value = static_cast<std::uint32_t>(n_in + i);
-        def.args.reserve(lut.fanins.size());
+        def.arg_begin = static_cast<std::uint32_t>(b.args.size());
+        def.arg_count = static_cast<std::uint32_t>(k);
         for (const auto ref : lut.fanins) {
-            def.args.push_back(value_of_ref(ref));
+            if (!valid_ref(ref, n_in + i)) {
+                throw std::invalid_argument{
+                    "exec::Program: LUT fanin must be kConst0Ref or an earlier input or LUT"};
+            }
+            b.args.push_back(value_of_ref(ref));
         }
         const std::uint64_t mask =
             (k == 6) ? ~std::uint64_t{0}
@@ -563,34 +612,37 @@ Program Program::compile(const fpga::LutNetwork& net) {
         }
     }
 
-    Builder b;
     b.n_values = n_in + n_luts + 1;
     b.n_inputs_total = static_cast<int>(n_in);
     b.n_outputs_total = static_cast<int>(net.outputs.size());
     b.zero_value = zero_value;
+    b.inputs.reserve(n_in);
     for (std::size_t i = 0; i < n_in; ++i) {
         b.inputs.emplace_back(static_cast<std::uint32_t>(i),
                               static_cast<std::uint32_t>(i));
     }
-    std::vector<std::uint32_t> roots;
-    roots.reserve(net.outputs.size());
+    b.outputs.reserve(net.outputs.size());
     for (const auto& [name, ref] : net.outputs) {
+        if (!valid_ref(ref, n_in + n_luts)) {
+            throw std::invalid_argument{
+                "exec::Program: output ref must be kConst0Ref or an input or LUT"};
+        }
         b.outputs.push_back(value_of_ref(ref));
-        roots.push_back(value_of_ref(ref));
     }
+    b.sched.reserve(n_luts);
     const auto deps = [&](std::uint32_t v) -> std::span<const std::uint32_t> {
         if (v < n_in || v == zero_value) {
             return {};
         }
-        return defs[v - n_in].args;
+        return b.operands(defs[v - n_in]);
     };
     const auto emit = [&](std::uint32_t v) {
         if (v < n_in || v == zero_value) {
             return;
         }
-        b.sched.push_back(std::move(defs[v - n_in]));
+        b.sched.push_back(defs[v - n_in]);
     };
-    schedule_post_order(b.n_values, roots, deps, emit);
+    schedule_post_order(b.n_values, b.outputs, deps, emit);
     return detail::Linker::link(std::move(b), n_in + n_luts);
 }
 

@@ -152,6 +152,16 @@ private:
         return pl_->product_tree(sp.terms);
     }
 
+    /// The split term (left_kind, i) XOR the split term (T, j), both at
+    /// `level`.  T_j's nodes are created first, explicitly: inside one
+    /// make_xor call the argument evaluation order is unspecified, and node
+    /// ids must not depend on the compiler.
+    netlist::NodeId split_pair(st::StKind left_kind, int i, int j, int level) {
+        const netlist::NodeId rhs = split_node(st::StKind::T, j, level);
+        const netlist::NodeId lhs = split_node(left_kind, i, level);
+        return pl_->nl().make_xor(lhs, rhs);
+    }
+
     netlist::NodeId atom_node(const st::Atom& a) {
         using Kind = st::Atom::Kind;
         switch (a.kind) {
@@ -164,11 +174,9 @@ private:
             case Kind::SplitT:
                 return split_node(st::StKind::T, a.i, a.level);
             case Kind::PairTT:
-                return pl_->nl().make_xor(split_node(st::StKind::T, a.i, a.level - 1),
-                                          split_node(st::StKind::T, a.j, a.level - 1));
+                return split_pair(st::StKind::T, a.i, a.j, a.level - 1);
             case Kind::PairST:
-                return pl_->nl().make_xor(split_node(st::StKind::S, a.i, a.level - 1),
-                                          split_node(st::StKind::T, a.j, a.level - 1));
+                return split_pair(st::StKind::S, a.i, a.j, a.level - 1);
         }
         throw std::logic_error{"EquationCompiler: unknown atom kind"};
     }

@@ -502,6 +502,74 @@ TEST(ExecProgram, RunPreconditionMessagesArePinned) {
     // test_exec_backends.cpp).
 }
 
+/// Two inputs and one XOR LUT driving output "y".
+fpga::LutNetwork xor_lut_network() {
+    fpga::LutNetwork net;
+    net.input_names = {"a", "b"};
+    fpga::LutNetwork::Lut x;
+    x.fanins = {0, 1};
+    x.truth = 0x6;
+    net.luts.push_back(x);
+    net.outputs = {{"y", 2}};
+    return net;
+}
+
+TEST(ExecProgram, LutFaninsMustBeEarlierRefs) {
+    // A LUT may read the constant, an input or an earlier LUT only.  A ref
+    // to itself or a later LUT (which could close a cycle), past the end,
+    // or below kConst0Ref is rejected before scheduling, and
+    // LutNetwork::simulate inherits the check.
+    const std::string message =
+        "exec::Program: LUT fanin must be kConst0Ref or an earlier input or LUT";
+    for (const std::int32_t ref : {2, 3, 1000, -2}) {
+        SCOPED_TRACE("fanin ref " + std::to_string(ref));
+        fpga::LutNetwork net = xor_lut_network();
+        net.luts[0].fanins[1] = ref;
+        expect_invalid([&] { static_cast<void>(Program::compile(net)); }, message);
+    }
+    // Two LUTs reading each other.
+    fpga::LutNetwork cycle = xor_lut_network();
+    cycle.luts[0].fanins = {0, 3};
+    fpga::LutNetwork::Lut back;
+    back.fanins = {2};
+    back.truth = 0x2;
+    cycle.luts.push_back(back);
+    expect_invalid([&] { static_cast<void>(Program::compile(cycle)); }, message);
+    expect_invalid([&] { static_cast<void>(cycle.simulate(std::vector<std::uint64_t>{1, 2})); },
+                   message);
+}
+
+TEST(ExecProgram, LutOutputRefsMustNameAValue) {
+    const std::string message =
+        "exec::Program: output ref must be kConst0Ref or an input or LUT";
+    for (const std::int32_t ref : {3, 1000, -2}) {
+        SCOPED_TRACE("output ref " + std::to_string(ref));
+        fpga::LutNetwork net = xor_lut_network();
+        net.outputs[0].second = ref;
+        expect_invalid([&] { static_cast<void>(Program::compile(net)); }, message);
+    }
+    // The constant and every input or LUT are legal outputs.
+    fpga::LutNetwork net = xor_lut_network();
+    net.outputs = {{"zero", fpga::LutNetwork::kConst0Ref}, {"a", 0}, {"y", 2}};
+    EXPECT_EQ(net.simulate(std::vector<std::uint64_t>{0xF0, 0x3C}),
+              (std::vector<std::uint64_t>{0, 0xF0, 0xCC}));
+}
+
+TEST(ExecProgram, CompileAllocatesABoundedNumberOfTimes) {
+    // Compilation keeps flat per-node arrays and one operand pool, so its
+    // allocation count does not grow with the gate count.
+    const field::Field f = field::Field::type2(163, 68);
+    for (const auto elaboration : {mult::Elaboration::Shared, mult::Elaboration::Literal}) {
+        const auto nl =
+            mult::build_multiplier(mult::Method::Date2018Flat, f, elaboration);
+        const testutil::AllocationGuard guard;
+        const Program prog = Program::compile(nl);
+        EXPECT_LE(guard.delta(), 256)
+            << (elaboration == mult::Elaboration::Shared ? "Shared" : "Literal");
+        EXPECT_GT(prog.instruction_count(), 0U);
+    }
+}
+
 TEST(ExecProgram, CompiledCampaignMatchesAcrossThreadCounts) {
     // The compiled verify path must report the same verdict and
     // counterexample at any thread count — exercised here so the TSan job
