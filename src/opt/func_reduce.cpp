@@ -11,6 +11,11 @@
 // The merge direction is always later-node-into-earlier-representative,
 // which keeps the substitution acyclic in the topological node order.
 // Frozen nodes (CED checker cones) are excluded from both sides.
+//
+// Candidate classes are runs of equal signature hashes in one sorted array
+// of (hash, id) pairs, so classes are confirmed in ascending hash order
+// (which decides what merges only when max_confirmations binds).  When
+// nothing merges, the pass costs one strash: see the rebuild step.
 
 #include "opt/internal.h"
 #include "opt/opt.h"
@@ -115,6 +120,15 @@ Netlist extract_cone(const Netlist& nl, NodeId root,
     return cone;
 }
 
+bool is_identity(const PassResult& r, const Netlist& nl) {
+    for (NodeId id = 0; id < r.node_map.size(); ++id) {
+        if (r.node_map[id] != id) {
+            return false;
+        }
+    }
+    return internal::identical(r.netlist, nl);
+}
+
 }  // namespace
 
 PassResult reduce_functional(const Netlist& nl, const ReduceOptions& options) {
@@ -157,9 +171,16 @@ PassResult reduce_functional(const Netlist& nl, const ReduceOptions& options) {
     }
 
     // --- Candidate classes ----------------------------------------------
-    // Keyed by a hash of the signature words; exact signature equality is
-    // re-checked pairwise, so hash collisions only waste a confirmation.
-    std::unordered_map<std::uint64_t, std::vector<NodeId>> classes;
+    // A class is a run of equal signature hashes among the sorted (hash,
+    // id) pairs: members in ascending id (topological) order, classes in
+    // ascending hash order.  Exact signature equality is re-checked
+    // pairwise, so hash collisions only waste a confirmation.
+    struct Candidate {
+        std::uint64_t hash = 0;
+        NodeId id = kInvalidNode;
+    };
+    std::vector<Candidate> candidates;
+    candidates.reserve(n);
     for (NodeId id = 0; id < n; ++id) {
         if (frozen[id]) {
             continue;
@@ -179,8 +200,12 @@ PassResult reduce_functional(const Netlist& nl, const ReduceOptions& options) {
         for (int w = 0; w < words; ++w) {
             h = internal::splitmix64(h ^ s[w]);
         }
-        classes[h].push_back(id);
+        candidates.push_back({h, id});
     }
+    std::sort(candidates.begin(), candidates.end(),
+              [](const Candidate& x, const Candidate& y) {
+                  return x.hash != y.hash ? x.hash < y.hash : x.id < y.id;
+              });
 
     // --- Confirmation ----------------------------------------------------
     std::vector<NodeId> subst(n, kInvalidNode);
@@ -188,13 +213,13 @@ PassResult reduce_functional(const Netlist& nl, const ReduceOptions& options) {
     netlist::EquivalenceOptions eq;
     eq.seed = internal::splitmix64(options.seed ^ 0xC0FEULL);
     eq.threads = 1;  // cones are small; avoid per-pair pool spin-up
-    for (auto& [hash, members] : classes) {
-        if (members.size() < 2) {
-            continue;
+    for (std::size_t lo = 0, hi = 0; lo < candidates.size(); lo = hi) {
+        hi = lo + 1;
+        while (hi < candidates.size() && candidates[hi].hash == candidates[lo].hash) {
+            ++hi;
         }
-        // Members arrive in ascending id (topological) order.
-        for (std::size_t i = 1; i < members.size(); ++i) {
-            const NodeId cand = members[i];
+        for (std::size_t i = lo + 1; i < hi; ++i) {
+            const NodeId cand = candidates[i].id;
             const auto& cnode = nl.node(cand);
             if (cnode.kind != GateKind::And2 && cnode.kind != GateKind::Xor2) {
                 continue;  // only gates are merged away
@@ -202,8 +227,8 @@ PassResult reduce_functional(const Netlist& nl, const ReduceOptions& options) {
             if (confirmations >= options.max_confirmations) {
                 break;
             }
-            for (std::size_t j = 0; j < i; ++j) {
-                NodeId rep = members[j];
+            for (std::size_t j = lo; j < i; ++j) {
+                NodeId rep = candidates[j].id;
                 if (subst[rep] != kInvalidNode) {
                     rep = subst[rep];  // follow an earlier merge
                 }
@@ -234,62 +259,22 @@ PassResult reduce_functional(const Netlist& nl, const ReduceOptions& options) {
     }
 
     // --- Rebuild with the substitution applied ---------------------------
-    Netlist dst;
-    std::vector<NodeId> memo(n, kInvalidNode);
-    std::vector<std::string> input_name(n);
-    for (const auto& port : nl.inputs()) {
-        input_name[port.node] = port.name;
-    }
-    for (NodeId id = 0; id < n; ++id) {
-        const auto& node = nl.node(id);
-        if (subst[id] != kInvalidNode) {
-            memo[id] = memo[subst[id]];
-            continue;
-        }
-        switch (node.kind) {
-            case GateKind::Input:
-                memo[id] = dst.add_input(input_name[id]);
-                break;
-            case GateKind::Const0:
-                if (reachable[id] || frozen[id]) {
-                    memo[id] = dst.const0();
-                }
-                break;
-            case GateKind::And2:
-            case GateKind::Xor2: {
-                if (!reachable[id] && !frozen[id]) {
-                    break;
-                }
-                const NodeId fa = memo[node.a];
-                const NodeId fb = memo[node.b];
-                if (frozen[id]) {
-                    memo[id] = (node.kind == GateKind::And2)
-                                   ? dst.make_and_fresh(fa, fb)
-                                   : dst.make_xor_fresh(fa, fb);
-                } else {
-                    memo[id] = (node.kind == GateKind::And2)
-                                   ? dst.make_and(fa, fb)
-                                   : dst.make_xor(fa, fb);
-                }
-                break;
-            }
-        }
-        if (memo[id] != kInvalidNode && nl.is_protected(id)) {
-            dst.set_protected(memo[id]);
-        }
-    }
-    for (const auto& port : nl.outputs()) {
-        dst.add_output(port.name, memo[port.node]);
+    // With nothing merged the rebuild is strash(nl).  When it is the
+    // identity on nl (nothing merged and nl already strashed), so is the
+    // sweep below, a strash of the same netlist: return it as is.
+    PassResult rebuilt = internal::strash_substituted(nl, subst);
+    if (is_identity(rebuilt, nl)) {
+        return rebuilt;
     }
 
     // Sweep cones orphaned by the merges; compose the maps.
-    PassResult swept = strash(dst);
+    PassResult swept = strash(rebuilt.netlist);
     PassResult out;
     out.netlist = std::move(swept.netlist);
     out.node_map.assign(n, kInvalidNode);
     for (NodeId id = 0; id < n; ++id) {
-        if (memo[id] != kInvalidNode) {
-            out.node_map[id] = swept.node_map[memo[id]];
+        if (rebuilt.node_map[id] != kInvalidNode) {
+            out.node_map[id] = swept.node_map[rebuilt.node_map[id]];
         }
     }
     return out;

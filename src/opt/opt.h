@@ -21,11 +21,16 @@
 //                        (find_gate), so sharing with logic that already
 //                        exists counts as free — replacements win either by
 //                        needing fewer gates or by reusing gates other
-//                        cones already built.
+//                        cones already built.  Every node's cuts live in
+//                        one pool, so the pass allocates per buffer growth,
+//                        not per node or candidate.
 //   reduce_functional  — functional reduction: random-pattern signatures
 //                        group candidate-equivalent nodes, every merge is
 //                        confirmed by netlist::check_equivalence on the
-//                        extracted cones before it is applied.
+//                        extracted cones before it is applied.  When
+//                        nothing merges the pass costs one strash, and it
+//                        returns its input unchanged when that is already
+//                        strashed.
 //   restructure        — global XOR restructuring reusing the synthesis
 //                        passes (group_common_cones / fast-extract pair
 //                        CSE / depth balancing), best-of over strategies.
@@ -34,7 +39,11 @@
 // campaign (netlist::check_equivalence rides verify::Campaign): a pass
 // whose output is not equivalent to its input throws VerificationError and
 // nothing downstream ever sees the bad netlist.  The mutation tier proves
-// the gate bites (RewriteOptions::unsound_for_test).
+// the gate bites (RewriteOptions::unsound_for_test).  The campaign is
+// skipped only for output node-for-node identical to the pass input (same
+// node count, the same (kind, a, b) at every id, the same ports with the
+// same names), which is equivalent by construction; never on gate count
+// alone.
 //
 // Protected gates (guard::add_parity_ced checker logic) are never merged,
 // rewritten or re-interned.  A node is *frozen* iff it is protected or in
@@ -92,7 +101,8 @@ struct ReduceOptions {
     std::uint64_t seed = 0xF12EDULL;
     /// Upper bound on check_equivalence cone confirmations per run (a
     /// safety valve on adversarial inputs; candidates beyond it stay
-    /// unmerged, which is always sound).
+    /// unmerged, which is always sound).  Classes are confirmed in
+    /// ascending order of their signature hash.
     int max_confirmations = 4096;
 };
 
@@ -107,7 +117,9 @@ struct PassReport {
     std::int64_t gates_after = 0;
     std::int64_t xor_depth_before = 0;
     std::int64_t xor_depth_after = 0;
-    bool verified = false;  ///< equivalence campaign ran and passed
+    /// Equivalence campaign ran and passed, or the output is node-for-node
+    /// identical to the input.
+    bool verified = false;
 };
 
 /// A pass produced a netlist that is NOT equivalent to its input.  Carries

@@ -3,8 +3,11 @@
 // checked for combinational equivalence against the stage's input; a
 // failing stage throws VerificationError and its output is discarded, so
 // nothing downstream (mappers, emitters, reports, guards) ever consumes an
-// unverified netlist.
+// unverified netlist.  A candidate node-for-node identical to the stage's
+// input is equivalent by construction and skips the campaign; a gate count
+// alone never does.
 
+#include "opt/internal.h"
 #include "opt/opt.h"
 
 #include "acv/acv.h"
@@ -48,26 +51,30 @@ OptResult optimize(const Netlist& nl, const OptOptions& options) {
         result.node_map[id] = id;
     }
     result.node_map_valid = true;
+    netlist::NetlistStats current = result.netlist.stats();  // of result.netlist
 
     // Run one stage: verify candidate against the current netlist, record
     // the report, and commit.  `map` is the stage's old->new map, or empty
-    // when the stage cannot produce one (restructure).
+    // when the stage cannot produce one (restructure); `after` is the
+    // candidate's stats.
     const auto commit = [&](const char* name, Netlist&& candidate,
-                            std::vector<NodeId>&& map) {
+                            std::vector<NodeId>&& map,
+                            const netlist::NetlistStats& after) {
         PassReport report;
         report.pass = name;
-        const auto before = result.netlist.stats();
-        const auto after = candidate.stats();
+        const netlist::NetlistStats before = current;
         report.gates_before = before.gates();
         report.gates_after = after.gates();
         report.xor_depth_before = before.xor_depth;
         report.xor_depth_after = after.xor_depth;
         if (options.verify_each_pass) {
-            const auto mismatch =
-                netlist::check_equivalence(result.netlist, candidate,
-                                           options.verify);
-            if (mismatch) {
-                throw VerificationError(name, mismatch->to_string());
+            if (!internal::identical(result.netlist, candidate)) {
+                const auto mismatch =
+                    netlist::check_equivalence(result.netlist, candidate,
+                                               options.verify);
+                if (mismatch) {
+                    throw VerificationError(name, mismatch->to_string());
+                }
             }
             report.verified = true;
         }
@@ -77,12 +84,14 @@ OptResult optimize(const Netlist& nl, const OptOptions& options) {
             result.node_map = compose_maps(result.node_map, map);
         }
         result.netlist = std::move(candidate);
+        current = after;
         result.passes.push_back(std::move(report));
     };
 
     if (options.strash) {
         PassResult r = strash(result.netlist);
-        commit("strash", std::move(r.netlist), std::move(r.node_map));
+        const auto after = r.netlist.stats();
+        commit("strash", std::move(r.netlist), std::move(r.node_map), after);
     }
 
     if (options.restructure && result.netlist.protected_count() == 0) {
@@ -102,41 +111,43 @@ OptResult optimize(const Netlist& nl, const OptOptions& options) {
         extracted.balance = true;
 
         Netlist best;
-        std::int64_t best_gates = -1;
+        std::optional<netlist::NetlistStats> best_stats;
         for (const auto& synth : {grouped, extracted}) {
             Netlist candidate = netlist::synthesize(result.netlist, synth);
-            const std::int64_t gates = candidate.stats().gates();
-            if (best_gates < 0 || gates < best_gates) {
+            const auto stats = candidate.stats();
+            if (!best_stats || stats.gates() < best_stats->gates()) {
                 best = std::move(candidate);
-                best_gates = gates;
+                best_stats = stats;
             }
         }
-        if (best_gates >= 0 && best_gates < result.netlist.stats().gates()) {
-            commit("restructure", std::move(best), {});
+        if (best_stats && best_stats->gates() < current.gates()) {
+            commit("restructure", std::move(best), {}, *best_stats);
         }
     }
 
     for (int round = 0; round < options.rewrite_rounds; ++round) {
-        const std::int64_t before = result.netlist.stats().gates();
+        const std::int64_t before = current.gates();
         PassResult r = rewrite_cuts(result.netlist, options.rewrite);
-        const std::int64_t after = r.netlist.stats().gates();
+        const auto after = r.netlist.stats();
         // Commit even a non-improving round: the result must still pass
         // through the equivalence gate (this is what catches the
         // unsound_for_test hook, whose "rewrite" never improves anything).
-        commit("rewrite", std::move(r.netlist), std::move(r.node_map));
-        if (after >= before) {
+        commit("rewrite", std::move(r.netlist), std::move(r.node_map), after);
+        if (after.gates() >= before) {
             break;
         }
     }
 
     if (options.reduce) {
         PassResult r = reduce_functional(result.netlist, options.reduction);
-        commit("reduce", std::move(r.netlist), std::move(r.node_map));
+        const auto after = r.netlist.stats();
+        commit("reduce", std::move(r.netlist), std::move(r.node_map), after);
     }
 
     if (options.strash) {
         PassResult r = strash(result.netlist);
-        commit("sweep", std::move(r.netlist), std::move(r.node_map));
+        const auto after = r.netlist.stats();
+        commit("sweep", std::move(r.netlist), std::move(r.node_map), after);
     }
 
     if (options.algebraic_spec != nullptr) {
@@ -146,9 +157,8 @@ OptResult optimize(const Netlist& nl, const OptOptions& options) {
         // to the spec itself, so it also catches a wrong netlist fed in.
         PassReport report;
         report.pass = "algebraic";
-        const auto stats = result.netlist.stats();
-        report.gates_before = report.gates_after = stats.gates();
-        report.xor_depth_before = report.xor_depth_after = stats.xor_depth;
+        report.gates_before = report.gates_after = current.gates();
+        report.xor_depth_before = report.xor_depth_after = current.xor_depth;
         if (const auto failure =
                 acv::prove_multiplier(result.netlist, *options.algebraic_spec)) {
             throw VerificationError("algebraic", failure->to_string());

@@ -54,9 +54,10 @@ const XagDatabase& XagDatabase::instance(int max_gates) {
     if (max_gates < 1) {
         max_gates = 1;
     }
-    if (max_gates > 7) {
-        max_gates = 7;  // enumeration cost grows fast; 7 already covers
-                        // every cut a <=4-leaf MFFC can free
+    if (max_gates > kMaxDatabaseGates) {
+        max_gates = kMaxDatabaseGates;  // enumeration cost grows fast; 7
+                                        // already covers every cut a
+                                        // <=4-leaf MFFC can free
     }
     static std::mutex mutex;
     static std::map<int, std::unique_ptr<XagDatabase>> registry;

@@ -24,6 +24,10 @@
 
 namespace gfr::opt::internal {
 
+/// Largest tree cost the database enumerates (instance() clamps to it), so
+/// one structure has at most this many gates.
+inline constexpr int kMaxDatabaseGates = 7;
+
 /// Truth tables of the four leaf variables in 4-variable (16-row) space.
 inline constexpr std::array<std::uint16_t, 4> kLeafTruth = {0xAAAA, 0xCCCC,
                                                             0xF0F0, 0xFF00};
