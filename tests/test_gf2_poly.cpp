@@ -162,6 +162,24 @@ TEST(Gf2Poly, DivmodIdentity) {
     }
 }
 
+TEST(Gf2Poly, ModMatchesDivmodRemainder) {
+    testutil::Xorshift64Star rng{43};
+    int shorter_numerators = 0;
+    for (int trial = 0; trial < 200; ++trial) {
+        const Poly a = varied_poly(rng, 300);
+        Poly b = varied_poly(rng, 200);
+        if (b.is_zero()) {
+            b = Poly::one();
+        }
+        shorter_numerators += a.degree() < b.degree() ? 1 : 0;
+        EXPECT_EQ(a % b, Poly::divmod(a, b).second) << "trial " << trial;
+    }
+    EXPECT_GT(shorter_numerators, 0);  // deg a < deg b: a % b is a itself
+    EXPECT_EQ(Poly::from_exponents({5, 1}) % Poly::from_exponents({9, 0}),
+              Poly::from_exponents({5, 1}));
+    EXPECT_THROW((void)(Poly::one() % Poly{}), std::invalid_argument);
+}
+
 TEST(Gf2Poly, DivisionByZeroThrows) {
     EXPECT_THROW(Poly::divmod(Poly::one(), Poly{}), std::invalid_argument);
 }

@@ -4,6 +4,8 @@
 #include "gf2/irreducibility.h"
 #include "gf2/pentanomial.h"
 
+#include "testutil.h"  // Fingerprint
+
 #include <gtest/gtest.h>
 
 namespace gfr::gf2 {
@@ -90,6 +92,21 @@ TEST(TypeIIPentanomial, InvalidParametersNeverIrreducible) {
     EXPECT_FALSE(is_type2_irreducible(8, 1));
     EXPECT_FALSE(is_type2_irreducible(8, 4));
     EXPECT_FALSE(is_type2_irreducible(4, 2));
+}
+
+TEST(TypeIIPentanomial, FirstNPinnedThroughDegree300) {
+    // The modulus every degree's search returns: (m, n) per degree, or
+    // (m, 0) where no type II pentanomial is irreducible.
+    testutil::Fingerprint fp;
+    int none = 0;
+    for (int m = 6; m <= 300; ++m) {
+        const auto penta = first_type2_irreducible(m);
+        fp.feed(static_cast<std::uint64_t>(m));
+        fp.feed(penta ? static_cast<std::uint64_t>(penta->n) : 0);
+        none += penta ? 0 : 1;
+    }
+    EXPECT_EQ(none, 122);
+    EXPECT_EQ(fp.value(), 0xe869ff0abe41e2ccULL);
 }
 
 }  // namespace
