@@ -13,10 +13,12 @@
 //     portable carry-less comb (or PCLMULQDQ when compiled with
 //     GFR_USE_PCLMUL on x86), reduction is 2-3 fold iterations, and no
 //     operation allocates.
-//   - m > 64 ("multi-word"): elements stay gf2::Poly; the engine routes
-//     through the allocation-free Poly kernels (mul_into / square_into /
-//     add_shifted) and reuses an internal excess scratch, so steady-state
-//     multiplies do no heap work beyond the caller's output element.
+//   - m > 64 ("multi-word"): elements stay gf2::Poly; products and squares
+//     go to raw word buffers and reduce through gf2::WordFold, the
+//     word-span fold that also runs gf2::is_irreducible's squaring chain
+//     (one fold, in src/gf2, for both callers).  Working buffers come from
+//     the caller's Scratch, so steady-state multiplies do no heap work
+//     beyond the caller's output element.
 //
 // Thread-safety: FieldOps is immutable after construction; every operation
 // is const.  The multi-word (m > 64) path needs working buffers, which the
@@ -33,6 +35,7 @@
 #include "bulk/kernels.h"
 #include "gf2/clmul.h"
 #include "gf2/gf2_poly.h"
+#include "gf2/word_fold.h"
 
 #include <bit>
 #include <cstdint>
@@ -213,25 +216,18 @@ public:
     /// In-place word-span reduction: fold every bit >= m of p (pn words)
     /// down through the modulus tails, leaving the canonical element in the
     /// low elem_words() words and zeros above.  The raw sibling of
-    /// reduce_in_place for callers holding bare buffers (the inversion
-    /// chain, bulk pipelines).  Requires pn >= elem_words() + 1 so tail
-    /// spill of the boundary word stays in bounds.
+    /// reduce_in_place for callers holding bare buffers (bulk pipelines);
+    /// forwards to gf2::WordFold::reduce_words.  Requires pn >=
+    /// elem_words() + 1 so tail spill of the boundary word stays in bounds.
     void reduce_words(std::uint64_t* p, std::size_t pn) const noexcept;
 
 private:
     gf2::Poly modulus_;
     int m_ = 0;
-    std::vector<int> tails_;        ///< support of the modulus below y^m
+    gf2::WordFold fold_;            ///< the word-span reduction (any m)
     std::uint64_t elem_mask_ = 0;   ///< low-m mask (all-ones when m == 64)
     std::uint64_t tails_mask_ = 0;  ///< bit t set per tail (f - y^m), m <= 64
-    // Nonzero tails packed as one word shifted down by their minimum
-    // exponent: a type II pentanomial's {n, n+1, n+2} cluster (or a
-    // trinomial's single tail) folds with ONE carry-less multiply deposited
-    // at bit n, plus a direct XOR for the constant tail.
-    std::uint64_t cluster_mask_ = 0;  ///< (f - y^m - 1) >> cluster_shift_
-    int cluster_shift_ = 0;           ///< smallest nonzero tail exponent
-    bool cluster_fold_ok_ = false;    ///< fast single-pass fold applicable
-    int fold_bound_ = 1;              ///< see fold_bound()
+    int fold_bound_ = 1;            ///< see fold_bound()
 };
 
 }  // namespace gfr::field

@@ -522,15 +522,18 @@ std::pair<Poly, Poly> Poly::divmod(const Poly& num, const Poly& den) {
     return {std::move(quot), std::move(rem)};
 }
 
-Poly operator%(const Poly& a, const Poly& b) { return Poly::divmod(a, b).second; }
+Poly operator%(const Poly& a, const Poly& b) {
+    Poly rem = a;
+    Poly::divmod_inplace(rem, b);
+    return rem;
+}
 
 Poly operator/(const Poly& a, const Poly& b) { return Poly::divmod(a, b).first; }
 
 Poly Poly::gcd(Poly a, Poly b) {
     while (!b.is_zero()) {
-        Poly r = a % b;
-        a = std::move(b);
-        b = std::move(r);
+        divmod_inplace(a, b);  // a = a mod b, no quotient
+        std::swap(a, b);
     }
     return a;
 }

@@ -360,8 +360,12 @@ public:
     /// a^2 mod f.
     static Poly sqrmod(const Poly& a, const Poly& f);
 
-    /// a^(2^k) mod f via k modular squarings (the Frobenius power used by
-    /// the Rabin irreducibility test).
+    /// a^(2^k) mod f via k modular squarings (the Frobenius power of Rabin's
+    /// irreducibility test).  With sqrmod, deliberately shares no code with
+    /// the word-level fold (gf2::WordFold): square() sets one coefficient per
+    /// term and % reduces bit by bit.  This is the independent reference
+    /// that the tests rebuild Rabin's test from, to cross-check
+    /// gf2::is_irreducible's word-level squaring chain.
     static Poly pow2k_mod(const Poly& a, int k, const Poly& f);
 
     /// Human-readable form, e.g. "y^8 + y^4 + y^3 + y^2 + 1"; "0" when zero.

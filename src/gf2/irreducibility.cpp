@@ -1,6 +1,12 @@
 #include "gf2/irreducibility.h"
 
+#include "gf2/word_fold.h"
+
+#include <algorithm>
+#include <cstdint>
+#include <span>
 #include <stdexcept>
+#include <utility>
 
 namespace gfr::gf2 {
 
@@ -37,16 +43,39 @@ bool is_irreducible(const Poly& f) {
         return false;
     }
 
-    const Poly y = Poly::monomial(1);
+    // One chain of m squarings, y -> y^2 -> ... -> y^(2^m) mod f, on raw
+    // words: spread, then fold.  As it passes i = m/p it snapshots
+    // y^(2^(m/p)) for every prime p of m, for condition (2).
+    const WordFold fold{f};
+    const std::vector<int> primes = distinct_prime_factors(m);
+    const auto mw = static_cast<std::size_t>(m + 63) / 64;  // words per residue
+    const std::size_t bufn = 2 * mw;                         // a square, unfolded
+    std::vector<std::uint64_t> words(2 * bufn + primes.size() * mw, 0);
+    std::uint64_t* cur = words.data();
+    std::uint64_t* next = cur + bufn;
+    std::uint64_t* snapshots = next + bufn;
+    cur[0] = 2;  // y, already reduced since m >= 2
+    for (int i = 1; i <= m; ++i) {
+        spread_words(cur, mw, next);
+        fold.reduce_words(next, bufn);
+        std::swap(cur, next);
+        for (std::size_t k = 0; k < primes.size(); ++k) {
+            if (i == m / primes[k]) {
+                std::copy_n(cur, mw, snapshots + k * mw);
+            }
+        }
+    }
 
     // Condition (1): y^(2^m) == y mod f.
-    if (Poly::pow2k_mod(y, m, f) != y % f) {
+    cur[0] ^= 2;  // y^(2^m) - y
+    if (std::any_of(cur, cur + mw, [](std::uint64_t w) { return w != 0; })) {
         return false;
     }
     // Condition (2): no factor of degree dividing m/p survives.
-    for (const int p : distinct_prime_factors(m)) {
-        const Poly g = Poly::pow2k_mod(y, m / p, f) + y;
-        if (!Poly::gcd(g, f).is_one()) {
+    for (std::size_t k = 0; k < primes.size(); ++k) {
+        std::uint64_t* g = snapshots + k * mw;
+        g[0] ^= 2;  // y^(2^(m/p)) - y
+        if (!Poly::gcd(Poly::from_words(std::span<const std::uint64_t>{g, mw}), f).is_one()) {
             return false;
         }
     }

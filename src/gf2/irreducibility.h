@@ -7,6 +7,13 @@
 //   (1) y^(2^m) == y (mod f), and
 //   (2) gcd(y^(2^(m/p)) - y mod f, f) == 1 for every prime divisor p of m.
 //
+// Both conditions come from one chain of m squarings of y on raw words:
+// each squaring is gf2::spread_words followed by gf2::WordFold, the sparse
+// word-level fold the field engine reduces with.  The chain snapshots
+// y^(2^(m/p)) as it passes i = m/p for each prime p of m; condition (2) then
+// takes one Poly::gcd per snapshot.  A test rebuilds the same predicate from
+// the bit-serial Poly::pow2k_mod, the independent reference.
+//
 // All five NIST ECDSA binary fields and the paper's nine (m,n) fields are
 // validated through this test in the test suite.
 
@@ -21,6 +28,8 @@ std::vector<int> distinct_prime_factors(int n);
 
 /// True iff f is irreducible over GF(2).  Degree-0 and degree-1 cases follow
 /// the usual convention: constants are not irreducible; y and y+1 are.
+/// Allocates a few times per call, not per squaring.  A build compiled for
+/// PCLMULQDQ can throw std::runtime_error on a CPU without it (see WordFold).
 bool is_irreducible(const Poly& f);
 
 }  // namespace gfr::gf2
