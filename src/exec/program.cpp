@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 namespace gfr::exec {
@@ -90,161 +89,6 @@ void schedule_post_order(std::size_t n_values, std::span<const std::uint32_t> ro
             emit(f.value);
             stack.pop_back();
         }
-    }
-}
-
-/// Tape-level CSE (Program::CompileOptions::hoist_common_pairs): hoist XOR
-/// operand pairs recurring across the singles regions of fused accumulate
-/// instructions into shared Xor2 definitions.  Runs in value-id space
-/// between scheduling and linking; XOR reassociation keeps the tape
-/// semantically identical, and liveness/slots are recomputed by the
-/// unchanged Linker afterwards.  Rounds repeat so hoisted values can pair
-/// up again (multi-level sharing) until no pair clears the threshold.
-void hoist_common_pairs(Builder& b, int min_count) {
-    constexpr int kMaxRounds = 10;
-    constexpr std::size_t kMaxSinglesCounted = 128;
-    if (min_count < 2) {
-        min_count = 2;
-    }
-    const auto singles_begin = [](const ValueDef& def) -> std::size_t {
-        return def.op == Op::AndXorN ? static_cast<std::size_t>(def.aux) * 2 : 0;
-    };
-    for (int round = 0; round < kMaxRounds; ++round) {
-        // --- Count: each unordered singles pair at most once per def -----
-        std::unordered_map<std::uint64_t, std::uint32_t> counts;
-        std::vector<std::uint32_t> uniq;
-        for (const ValueDef& def : b.sched) {
-            if (def.op != Op::XorN && def.op != Op::AndXorN) {
-                continue;
-            }
-            const auto ops = b.operands(def);
-            const std::size_t begin = singles_begin(def);
-            if (ops.size() < begin + 2) {
-                continue;
-            }
-            const std::size_t end = std::min(ops.size(), begin + kMaxSinglesCounted);
-            uniq.assign(ops.begin() + static_cast<std::ptrdiff_t>(begin),
-                        ops.begin() + static_cast<std::ptrdiff_t>(end));
-            std::sort(uniq.begin(), uniq.end());
-            uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
-            for (std::size_t i = 0; i < uniq.size(); ++i) {
-                for (std::size_t j = i + 1; j < uniq.size(); ++j) {
-                    const std::uint64_t key =
-                        (static_cast<std::uint64_t>(uniq[i]) << 32U) | uniq[j];
-                    ++counts[key];
-                }
-            }
-        }
-        std::vector<std::pair<std::uint32_t, std::uint64_t>> ranked;
-        for (const auto& [key, count] : counts) {
-            if (static_cast<int>(count) >= min_count) {
-                ranked.emplace_back(count, key);
-            }
-        }
-        if (ranked.empty()) {
-            break;
-        }
-        std::sort(ranked.begin(), ranked.end(), [](const auto& p, const auto& q) {
-            return p.first != q.first ? p.first > q.first : p.second < q.second;
-        });
-
-        // --- Apply greedily; overlapping pairs re-check live state -------
-        struct NewDef {
-            std::uint32_t value;
-            std::uint32_t x;
-            std::uint32_t y;
-            std::size_t before;  ///< sched index of the first user
-        };
-        std::vector<NewDef> created;
-        for (const auto& [count, key] : ranked) {
-            const auto x = static_cast<std::uint32_t>(key >> 32U);
-            const auto y = static_cast<std::uint32_t>(key & 0xFFFFFFFFULL);
-            const auto find_pair = [&](const ValueDef& def, std::size_t& ix,
-                                       std::size_t& iy) {
-                if (def.op != Op::XorN && def.op != Op::AndXorN) {
-                    return false;
-                }
-                const auto ops = b.operands(def);
-                const std::size_t begin = singles_begin(def);
-                ix = iy = ops.size();
-                for (std::size_t k = begin; k < ops.size(); ++k) {
-                    if (ops[k] == x && ix == ops.size()) {
-                        ix = k;
-                    } else if (ops[k] == y && iy == ops.size()) {
-                        iy = k;
-                    }
-                }
-                return ix != ops.size() && iy != ops.size();
-            };
-            // Dry scan first: overlaps with already-applied pairs may have
-            // consumed occurrences, and a pair no longer clearing the
-            // threshold is not worth a definition.
-            int live = 0;
-            for (const ValueDef& def : b.sched) {
-                std::size_t ix = 0;
-                std::size_t iy = 0;
-                if (find_pair(def, ix, iy)) {
-                    ++live;
-                }
-            }
-            if (live < min_count) {
-                continue;
-            }
-            const auto v = static_cast<std::uint32_t>(b.n_values++);
-            std::size_t first_user = b.sched.size();
-            for (std::size_t t = 0; t < b.sched.size(); ++t) {
-                ValueDef& def = b.sched[t];
-                std::size_t ix = 0;
-                std::size_t iy = 0;
-                // Repeat within one def: duplicate leaves can carry the
-                // same pair more than once.
-                while (find_pair(def, ix, iy)) {
-                    if (iy < ix) {
-                        std::swap(ix, iy);
-                    }
-                    // Drop operands ix and iy and append v, in place: the
-                    // list shrinks by one inside its own pool range and the
-                    // other operands keep their order.
-                    std::uint32_t* ops = b.args.data() + def.arg_begin;
-                    std::size_t kept = ix;
-                    for (std::size_t k = ix + 1; k < def.arg_count; ++k) {
-                        if (k != iy) {
-                            ops[kept++] = ops[k];
-                        }
-                    }
-                    ops[kept] = v;
-                    --def.arg_count;
-                    first_user = std::min(first_user, t);
-                    if (def.op == Op::XorN && def.arg_count == 2) {
-                        def.op = Op::Xor2;
-                    }
-                }
-            }
-            created.push_back(NewDef{v, x, y, first_user});
-        }
-        if (created.empty()) {
-            break;
-        }
-
-        // --- Insert the hoisted defs right before their first user -------
-        std::vector<ValueDef> rebuilt;
-        rebuilt.reserve(b.sched.size() + created.size());
-        for (std::size_t t = 0; t < b.sched.size(); ++t) {
-            for (const NewDef& nd : created) {
-                if (nd.before == t) {
-                    ValueDef def;
-                    def.op = Op::Xor2;
-                    def.value = nd.value;
-                    def.arg_begin = static_cast<std::uint32_t>(b.args.size());
-                    def.arg_count = 2;
-                    b.args.push_back(nd.x);
-                    b.args.push_back(nd.y);
-                    rebuilt.push_back(def);
-                }
-            }
-            rebuilt.push_back(b.sched[t]);
-        }
-        b.sched = std::move(rebuilt);
     }
 }
 
@@ -400,11 +244,6 @@ struct Linker {
 // --- Netlist front end -------------------------------------------------------
 
 Program Program::compile(const netlist::Netlist& nl) {
-    return compile(nl, CompileOptions{});
-}
-
-Program Program::compile(const netlist::Netlist& nl,
-                         const CompileOptions& options) {
     using netlist::GateKind;
     using netlist::NodeId;
     const std::size_t n = nl.node_count();
@@ -548,9 +387,6 @@ Program Program::compile(const netlist::Netlist& nl,
         b.sched.push_back(def);
     };
     schedule_post_order(n, b.outputs, deps, emit);
-    if (options.hoist_common_pairs) {
-        hoist_common_pairs(b, options.min_pair_occurrences);
-    }
     return detail::Linker::link(std::move(b), n);
 }
 

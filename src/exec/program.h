@@ -98,29 +98,9 @@ public:
         std::uint32_t aux = 0;
     };
 
-    /// Tape-level optimization knobs for the Netlist front end.
-    struct CompileOptions {
-        /// Hoist XOR operand pairs that recur across fused accumulate
-        /// instructions (XorN / AndXorN singles) into shared Xor2
-        /// definitions — a value-level CSE running between scheduling and
-        /// linking.  The tape stays semantically identical (XOR
-        /// reassociation); instruction operand totals shrink whenever the
-        /// source netlist left sharing on the table.  Off by default: the
-        /// exact tape shape of the default path is pinned by tests and
-        /// shared by the verification campaign's replay coordinates.
-        bool hoist_common_pairs = false;
-        /// A pair is hoisted only when it occurs in at least this many
-        /// distinct accumulate instructions.
-        int min_pair_occurrences = 3;
-    };
-
     /// Compile the logic reachable from nl's outputs.  The tape evaluates
     /// exactly nl's input/output interface (inputs() / outputs() order).
     static Program compile(const netlist::Netlist& nl);
-
-    /// As above with explicit tape-optimization options.
-    static Program compile(const netlist::Netlist& nl,
-                           const CompileOptions& options);
 
     /// Compile a mapped LUT network.  LUTs whose truth table is a pure AND /
     /// XOR / parity of their fanins lower to And2/Xor2/XorN; the rest become

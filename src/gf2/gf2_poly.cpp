@@ -12,14 +12,14 @@ namespace gfr::gf2 {
 namespace {
 constexpr int kWordBits = 64;
 
-// Default Karatsuba crossover, in words per operand (tuned by
-// bench/microbench_field, recorded in BENCH_2.json).  With PCLMULQDQ the
-// word product is a single instruction and schoolbook stays competitive
-// longer — the measured crossover sits at 16 words, so operands below that
-// never split (15 keeps 9-15-word operands, e.g. NIST m=571, on the faster
-// schoolbook) and a 16-word multiply does one split onto 8-word schoolbook
-// halves.  The portable comb clmul is ~an order of magnitude costlier per
-// word pair, so splitting pays off much earlier there.
+// Default Karatsuba crossover, in words per operand (measured by
+// bench/karatsuba_crossover, in this build and the portable one).  With
+// PCLMULQDQ the word product is a single instruction and schoolbook stays
+// competitive longer — the measured crossover sits at 16 words, so operands
+// below that never split (15 keeps 9-15-word operands, e.g. NIST m=571, on
+// the faster schoolbook) and a 16-word multiply does one split onto 8-word
+// schoolbook halves.  The portable comb clmul is ~an order of magnitude
+// costlier per word pair, so splitting pays off much earlier there.
 #if defined(GFR_USE_PCLMUL) && defined(__PCLMUL__)
 constexpr int kDefaultKaratsubaThresholdWords = 15;
 #else

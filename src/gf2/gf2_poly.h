@@ -202,8 +202,8 @@ private:
 
 /// Operand size (in 64-bit words) below which Poly::mul_into uses the plain
 /// word-level schoolbook instead of recursing with Karatsuba.  The default is
-/// tuned by bench/microbench_field (see BENCH_2.json); tests and benches may
-/// override it process-wide to force either path or probe the boundary.
+/// tuned by bench/karatsuba_crossover; tests and benches may override it
+/// process-wide to force either path or probe the boundary.
 [[nodiscard]] int karatsuba_threshold_words() noexcept;
 void set_karatsuba_threshold_words(int words);
 

@@ -24,8 +24,8 @@
 //
 // All region traffic goes through ONE RegionEngine constructed with the
 // codec (kernel selection happens once); the forcing constructor pins a
-// kernel kind exactly like RegionEngine's, which is how the tests and the
-// BENCH_8 bench hold every SIMD path bit-identical to forced-scalar.
+// kernel kind exactly like RegionEngine's, which is how the tests and
+// perfbench `rs` hold every SIMD path bit-identical to forced-scalar.
 //
 // Thread-safety: immutable after construction; decode builds its survivor
 // inverse on the stack, so const calls are safe concurrently.

@@ -1,11 +1,8 @@
 // Golden tapes: the exact instruction tape exec::Program::compile emits for
 // every netlist the Table V verdict path compiles — the 54 Table V cells and
 // the literal date2018 elaboration per field (the 63 netlists of perfbench
-// `verdict`); and at (8,2) and (64,23) also the literal netlist compiled with
-// hoist_common_pairs at min_pair_occurrences 3 and 2, and the winning LUT
-// network of run_flow per method.  (Hoisting scans every instruction once
-// per candidate pair and takes 5-40 s per literal tape from m=113 up, too
-// slow for a unit test.)  Each tape is pinned by its instruction count, its
+// `verdict`); and at (8,2) and (64,23) also the winning LUT network of
+// run_flow per method.  Each tape is pinned by its instruction count, its
 // slot count and a 64-bit fingerprint of everything the executor reads (see
 // tape_fingerprint).  A compiler change that moves one operand, one slot or
 // one instruction of any of these tapes fails here.
@@ -31,8 +28,8 @@ namespace {
 struct GoldenTape {
     int m = 0;
     int n = 0;
-    /// Method key; "date2018-raw" is the literal elaboration, "hoist3" /
-    /// "hoist2" its hoisted tapes, and "lut <key>" a run_flow winner.
+    /// Method key; "date2018-raw" is the literal elaboration and "lut <key>"
+    /// a run_flow winner.
     std::string_view name;
     std::size_t instructions = 0;
     std::uint32_t slots = 0;
@@ -77,7 +74,7 @@ std::uint64_t tape_fingerprint(const Program& prog) {
 
 // Fields in field::table5_fields() order; per field the Table V methods in
 // mult::all_methods() order, then date2018-raw, then (at (8,2) and (64,23)
-// only) hoist3, hoist2 and the LUT tapes in method order.
+// only) the LUT tapes in method order.
 constexpr GoldenTape kGolden[] = {
     {8, 2, "paar", 35, 32,
      0x8f3fdc855b3c9ef6ULL},
@@ -93,10 +90,6 @@ constexpr GoldenTape kGolden[] = {
      0xfcd12e510e020817ULL},
     {8, 2, "date2018-raw", 36, 48,
      0xea7b2cbea6559bd4ULL},
-    {8, 2, "hoist3", 58, 33,
-     0x6ed597d257f50cb3ULL},
-    {8, 2, "hoist2", 64, 37,
-     0xdf7f3e19422a8823ULL},
     {8, 2, "lut paar", 43, 26,
      0xf794f7fe12802114ULL},
     {8, 2, "lut rashidi", 53, 29,
@@ -123,10 +116,6 @@ constexpr GoldenTape kGolden[] = {
      0x1982a72f8fd196ebULL},
     {64, 23, "date2018-raw", 2080, 1766,
      0x26ebadea7bd0fa9aULL},
-    {64, 23, "hoist3", 4077, 288,
-     0x1e59266373638d27ULL},
-    {64, 23, "hoist2", 4154, 333,
-     0xa2ca07bb1ce38c7aULL},
     {64, 23, "lut paar", 2444, 224,
      0x99e36362a799c90fULL},
     {64, 23, "lut rashidi", 3210, 918,
@@ -255,17 +244,10 @@ std::vector<NamedTape> field_tapes(const field::FieldSpec& spec, const field::Fi
                              Program::compile(mult::build_multiplier(info.method, f))});
         }
     }
-    const auto literal = mult::build_multiplier(mult::Method::Date2018Flat, f,
-                                                mult::Elaboration::Literal);
-    tapes.push_back({"date2018-raw", Program::compile(literal)});
+    tapes.push_back({"date2018-raw",
+                     Program::compile(mult::build_multiplier(
+                         mult::Method::Date2018Flat, f, mult::Elaboration::Literal))});
     if ((spec.m == 8 && spec.n == 2) || (spec.m == 64 && spec.n == 23)) {
-        for (const int min_pairs : {3, 2}) {
-            Program::CompileOptions options;
-            options.hoist_common_pairs = true;
-            options.min_pair_occurrences = min_pairs;
-            tapes.push_back({"hoist" + std::to_string(min_pairs),
-                             Program::compile(literal, options)});
-        }
         for (const mult::MethodInfo* info : methods) {
             fpga::FlowOptions opts;
             opts.synthesis_freedom = info->synthesis_freedom;
@@ -276,9 +258,9 @@ std::vector<NamedTape> field_tapes(const field::FieldSpec& spec, const field::Fi
     return tapes;
 }
 
-TEST(ExecTapeGolden, PinsEveryVerdictHoistAndLutTape) {
-    // 63 verdict tapes, 4 hoisted tapes, 12 LUT tapes.
-    EXPECT_EQ(std::size(kGolden), 63U + 4U + 12U);
+TEST(ExecTapeGolden, PinsEveryVerdictAndLutTape) {
+    // 63 verdict tapes, 12 LUT tapes.
+    EXPECT_EQ(std::size(kGolden), 63U + 12U);
 }
 
 class ExecTapeGoldenField : public ::testing::TestWithParam<field::FieldSpec> {};

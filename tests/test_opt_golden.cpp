@@ -6,6 +6,8 @@
 //   - optimize(): the output netlist with its port names, the composed
 //     node_map (or the fact that none survived restructuring) and the
 //     passes list (name, gates and XOR depth before/after, verified);
+//     and, independent of every pin, an acv proof that the output
+//     multiplies in the field;
 //   - rewrite_cuts() and reduce_functional() alone on strash(input): the
 //     output netlist with its port names and the pass's node_map.
 //
@@ -17,6 +19,7 @@
 // a unit test; the rows here take ~3 s.  A mismatch prints the row the
 // current code produces.
 
+#include "acv/acv.h"
 #include "field/field_catalog.h"
 #include "multipliers/generator.h"
 #include "opt/opt.h"
@@ -190,6 +193,8 @@ TEST_P(OptGoldenField, OutputsMatch) {
     for (std::size_t i = 0; i < inputs.size(); ++i) {
         SCOPED_TRACE(spec.label() + " " + inputs[i].name);
         const OptResult optimized = optimize(inputs[i].nl);
+        const auto proof = acv::prove_multiplier(optimized.netlist, f);
+        EXPECT_FALSE(proof.has_value()) << proof->to_string();
         const PassResult strashed = strash(inputs[i].nl);
         const GoldenOpt got{spec.m,
                             spec.n,

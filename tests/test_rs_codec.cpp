@@ -335,7 +335,7 @@ TEST(RsCodec, U64LayoutRoundTripsAnySingleWordField) {
 
 TEST(RsCodec, ForcedScalarMatchesAutoKernels) {
     // The SIMD encode/decode paths must be bit-identical to forced scalar
-    // — the same gate BENCH_8 applies before reporting any number.
+    // — the same known answer perfbench `rs` checks.
     Xorshift64Star rng{0x5CA1A45EEDULL};
     const Field f8 = field::gf256_paper_field();
     const Codec fast{f8.ops(), 12, 8};
