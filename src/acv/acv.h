@@ -87,9 +87,9 @@ struct ProofFailure {
 /// Prove that `nl` computes C = A*B in `field`, with zero simulation.
 /// std::nullopt on success (the netlist is *proved* correct for all inputs);
 /// otherwise the lowest-column failure.  Ports are resolved by name
-/// (a0..a(m-1), b0..b(m-1), c0..c(m-1)); extra outputs — CED checker lanes
-/// like ced_err*/ced_alarm — are excluded from the signature, so guarded
-/// netlists prove as-is.  Throws std::invalid_argument when the interface
+/// (a0..a(m-1), b0..b(m-1), c0..c(m-1)); extra outputs are excluded from
+/// the signature, so a multiplier with added observation lanes proves
+/// as-is.  Throws std::invalid_argument when the interface
 /// does not expose exactly the 2m operand inputs and the m product outputs.
 std::optional<ProofFailure> prove_multiplier(const netlist::Netlist& nl,
                                              const field::Field& field,
@@ -150,7 +150,7 @@ AnonymizedNetlist anonymize_ports(const netlist::Netlist& nl, std::uint64_t seed
 /// Re-expose an anonymous netlist under the canonical a/b/c interface per a
 /// recovered spec (gate-for-gate clone; only port names and order change).
 /// The result is a drop-in for every multiplier consumer in the repo —
-/// prove_multiplier, verify_multiplier, the optimizer, the guard pass.
+/// prove_multiplier, verify_multiplier, the optimizer, the FPGA flow.
 netlist::Netlist relabel_ports(const netlist::Netlist& nl,
                                const RecoveredSpec& spec);
 

@@ -41,9 +41,8 @@ namespace {
 
 /// The multiplier interface, resolved by NAME rather than port position:
 /// prove_multiplier accepts netlists whose output list carries extra lanes
-/// (CED checkers append ced_err*/ced_alarm after c0..c(m-1)) — the proof
-/// simply never expands them, which is exactly "checker logic excluded from
-/// the signature".
+/// beside c0..c(m-1) — the proof simply never expands them, so they are
+/// excluded from the signature.
 struct PortMap {
     std::vector<NodeId> a_nodes;
     std::vector<NodeId> b_nodes;

@@ -36,9 +36,8 @@
 // FieldOps explicit-scratch discipline, so one Program may serve any number
 // of campaign workers concurrently.
 //
-// The tape accepts any well-formed AND/XOR netlist, including the shapes the
-// guard tier produces: CED-augmented circuits (fresh, non-interned checker
-// gates alongside interned multiplier logic) and fault-injected clones whose
+// The tape accepts any well-formed AND/XOR netlist, including fresh
+// (non-interned) gates beside interned ones and fault-injected clones whose
 // gates may carry duplicate operands (a tied fanin b == a compiles and runs
 // like any other gate: XOR(a, a) = 0, AND(a, a) = a).
 

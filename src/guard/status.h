@@ -12,8 +12,8 @@
 // programming errors (wrong span lengths, mismatched Prepared state).
 //
 // This header is a leaf (nothing above <string>), so every layer — the bulk
-// kernels below src/field, the region engine above it, the netlist tier —
-// can speak the same taxonomy.
+// kernels below src/field, the region engine above it, the exec tape
+// ladder's self-test — can speak the same taxonomy.
 
 #include <string>
 #include <utility>
@@ -26,7 +26,6 @@ enum class Fault : unsigned char {
     None = 0,          ///< no fault detected
     KernelSelfTest,    ///< golden-vector self-test failed; kernel quarantined
     RegionChecksum,    ///< ABFT region fold disagrees with the running checksum
-    ParityAlarm,       ///< CED parity checker raised ced_alarm
 };
 
 [[nodiscard]] constexpr const char* fault_name(Fault f) noexcept {
@@ -34,7 +33,6 @@ enum class Fault : unsigned char {
         case Fault::None: return "none";
         case Fault::KernelSelfTest: return "kernel-self-test";
         case Fault::RegionChecksum: return "region-checksum";
-        case Fault::ParityAlarm: return "parity-alarm";
     }
     return "?";
 }

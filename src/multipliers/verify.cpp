@@ -197,8 +197,8 @@ MultiplierVerifier::MultiplierVerifier(const netlist::Netlist& nl,
     const int m = field.degree();
     if (options.mode == VerifyMode::Algebraic) {
         // Pure algebraic mode needs no tape, no oracles, no sweep plan — and
-        // it is the one mode that admits guarded netlists (extra checker
-        // outputs; ports resolve by name inside prove_multiplier).  Validate
+        // it is the one mode that admits extra outputs beside c0..c(m-1)
+        // (ports resolve by name inside prove_multiplier).  Validate
         // the interface now so construction throws like the other modes.
         if (static_cast<int>(nl.inputs().size()) != 2 * m) {
             throw std::invalid_argument{

@@ -42,8 +42,9 @@ namespace gfr::mult {
 /// Which check(s) a verifier runs.  Simulation is the campaign described
 /// above.  Algebraic replaces it with acv::prove_multiplier — backward
 /// rewriting to canonical ANF, a *proof* over all inputs with zero
-/// simulation, and the only mode that accepts CED-guarded netlists (ports
-/// resolve by name; checker output lanes are excluded from the signature).
+/// simulation, and the only mode that accepts netlists with extra outputs
+/// beside c0..c(m-1) (ports resolve by name; extra output lanes are
+/// excluded from the signature).
 /// Both runs the algebraic proof first and the simulation campaign after
 /// it, failing on whichever trips.
 enum class VerifyMode : std::uint8_t {

@@ -15,7 +15,7 @@ Netlist clone_netlist(const Netlist& src, const CloneOptions& options,
     }
     for (NodeId id = 0; id < src.node_count(); ++id) {
         const auto& node = src.node(id);
-        switch (node.kind) {  // protected marks carried over after the switch
+        switch (node.kind) {
             case GateKind::Input:
                 map[id] = dst.add_input(input_name[id]);
                 break;
@@ -45,14 +45,6 @@ Netlist clone_netlist(const Netlist& src, const CloneOptions& options,
                 }
                 break;
             }
-        }
-        // Preserve protected marks: fault campaigns clone CED-guarded
-        // netlists, and an optimization pass running on the clone must see
-        // the same frozen checker logic the original carried.  (In interned
-        // mode the mark lands on whatever node the gate merged into — the
-        // conservative direction.)
-        if (src.is_protected(id) && map[id] != kInvalidNode) {
-            dst.set_protected(map[id]);
         }
     }
     std::vector<NodeId> mapped_outputs;

@@ -2,8 +2,8 @@
 #define GFR_NETLIST_CLONE_H
 
 // Netlist cloning with fault-injection hooks — the mutation substrate of
-// the verification tier (promoted from tests/testutil.h so the in-library
-// fault-injection campaign can use it too).
+// the verification tier (tests/testutil.h, perfbench's seeded mutants) and
+// the optimizer's starting copy.
 //
 // Two cloning modes:
 //
@@ -14,11 +14,9 @@
 //     to an existing node models a wiring fault rather than a gate fault.
 //   - verbatim (intern = false): a node-for-node replica built with the
 //     fresh (non-interned) gate API.  Node ids map 1:1 (map[id] == id for
-//     every source node), injected gates stay live even when degenerate
-//     (XOR(a,a) remains an evaluable gate computing 0), and — critically
-//     for CED validation — a fault injected into a multiplier gate can
-//     never be merged into the structurally independent checker logic,
-//     which would mask exactly the fault the checker exists to catch.
+//     every source node), so opt::optimize seeds its composed node map
+//     with the identity, and injected gates stay live even when degenerate
+//     (XOR(a,a) remains an evaluable gate computing 0).
 
 #include "netlist/netlist.h"
 

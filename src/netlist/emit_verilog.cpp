@@ -1,56 +1,36 @@
 #include "netlist/emit_verilog.h"
 
+#include "netlist/hdl_names.h"
+
 #include <stdexcept>
 
 namespace gfr::netlist {
-
-namespace {
-
-std::string sanitize(const std::string& name) {
-    std::string out;
-    for (const char c : name) {
-        const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9') || c == '_';
-        out += ok ? c : '_';
-    }
-    if (out.empty() || !((out[0] >= 'a' && out[0] <= 'z') || (out[0] >= 'A' && out[0] <= 'Z') ||
-                         out[0] == '_')) {
-        out = "p" + out;
-    }
-    return out;
-}
-
-}  // namespace
 
 std::string emit_verilog(const Netlist& nl, const std::string& module_name) {
     if (nl.outputs().empty()) {
         throw std::invalid_argument{"emit_verilog: netlist has no outputs"};
     }
     const auto reachable = nl.reachable_from_outputs();
-    const std::string module = sanitize(module_name);
+    const auto ports = detail::hdl_ports(nl, reachable, detail::kVerilog);
 
-    std::string out = "module " + module + " (\n";
-    for (const auto& port : nl.inputs()) {
-        out += "  input  wire " + sanitize(port.name) + ",\n";
+    std::string out =
+        "module " + detail::hdl_identifier(module_name, detail::kVerilog) + " (\n";
+    for (const auto& name : ports.inputs) {
+        out += "  input  wire " + name + ",\n";
     }
-    for (std::size_t i = 0; i < nl.outputs().size(); ++i) {
-        out += "  output wire " + sanitize(nl.outputs()[i].name);
-        out += (i + 1 < nl.outputs().size()) ? ",\n" : "\n";
+    for (std::size_t i = 0; i < ports.outputs.size(); ++i) {
+        out += "  output wire " + ports.outputs[i];
+        out += (i + 1 < ports.outputs.size()) ? ",\n" : "\n";
     }
     out += ");\n";
 
     std::vector<std::string> wire(nl.node_count());
-    for (const auto& port : nl.inputs()) {
-        wire[port.node] = sanitize(port.name);
+    for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
+        wire[nl.inputs()[i].node] = ports.inputs[i];
     }
     for (NodeId id = 0; id < nl.node_count(); ++id) {
-        if (!reachable[id]) {
-            continue;
-        }
-        const Node& n = nl.node(id);
-        if (n.kind == GateKind::And2 || n.kind == GateKind::Xor2 ||
-            n.kind == GateKind::Const0) {
-            wire[id] = "n" + std::to_string(id);
+        if (reachable[id] && nl.node(id).kind != GateKind::Input) {
+            wire[id] = detail::hdl_wire(id);
             out += "  wire " + wire[id] + ";\n";
         }
     }
@@ -73,8 +53,8 @@ std::string emit_verilog(const Netlist& nl, const std::string& module_name) {
                 break;
         }
     }
-    for (const auto& port : nl.outputs()) {
-        out += "  assign " + sanitize(port.name) + " = " + wire[port.node] + ";\n";
+    for (std::size_t i = 0; i < nl.outputs().size(); ++i) {
+        out += "  assign " + ports.outputs[i] + " = " + wire[nl.outputs()[i].node] + ";\n";
     }
     out += "endmodule\n";
     return out;

@@ -1,67 +1,42 @@
 #include "netlist/emit_vhdl.h"
 
+#include "netlist/hdl_names.h"
+
 #include <stdexcept>
 
 namespace gfr::netlist {
-
-namespace {
-
-std::string sanitize(const std::string& name) {
-    std::string out;
-    for (const char c : name) {
-        const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9') || c == '_';
-        out += ok ? c : '_';
-    }
-    if (out.empty() || !((out[0] >= 'a' && out[0] <= 'z') || (out[0] >= 'A' && out[0] <= 'Z'))) {
-        out = "p" + out;
-    }
-    return out;
-}
-
-}  // namespace
 
 std::string emit_vhdl(const Netlist& nl, const std::string& entity_name) {
     if (nl.outputs().empty()) {
         throw std::invalid_argument{"emit_vhdl: netlist has no outputs"};
     }
     const auto reachable = nl.reachable_from_outputs();
-    const std::string entity = sanitize(entity_name);
+    const auto ports = detail::hdl_ports(nl, reachable, detail::kVhdl);
+    const std::string entity = detail::hdl_identifier(entity_name, detail::kVhdl);
 
     std::string out;
     out += "library ieee;\nuse ieee.std_logic_1164.all;\n\n";
     out += "entity " + entity + " is\n  port (\n";
-    for (const auto& port : nl.inputs()) {
-        out += "    " + sanitize(port.name) + " : in  std_logic;\n";
+    for (const auto& name : ports.inputs) {
+        out += "    " + name + " : in  std_logic;\n";
     }
-    for (std::size_t i = 0; i < nl.outputs().size(); ++i) {
-        out += "    " + sanitize(nl.outputs()[i].name) + " : out std_logic";
-        out += (i + 1 < nl.outputs().size()) ? ";\n" : "\n";
+    for (std::size_t i = 0; i < ports.outputs.size(); ++i) {
+        out += "    " + ports.outputs[i] + " : out std_logic";
+        out += (i + 1 < ports.outputs.size()) ? ";\n" : "\n";
     }
     out += "  );\nend entity " + entity + ";\n\n";
     out += "architecture rtl of " + entity + " is\n";
 
     // Wire name per node: inputs keep their port name, gates get n<id>.
     std::vector<std::string> wire(nl.node_count());
-    for (const auto& port : nl.inputs()) {
-        wire[port.node] = sanitize(port.name);
+    for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
+        wire[nl.inputs()[i].node] = ports.inputs[i];
     }
-    bool any_signal = false;
-    std::string decls;
     for (NodeId id = 0; id < nl.node_count(); ++id) {
-        if (!reachable[id]) {
-            continue;
+        if (reachable[id] && nl.node(id).kind != GateKind::Input) {
+            wire[id] = detail::hdl_wire(id);
+            out += "  signal " + wire[id] + " : std_logic;\n";
         }
-        const Node& n = nl.node(id);
-        if (n.kind == GateKind::And2 || n.kind == GateKind::Xor2 ||
-            n.kind == GateKind::Const0) {
-            wire[id] = "n" + std::to_string(id);
-            decls += "  signal " + wire[id] + " : std_logic;\n";
-            any_signal = true;
-        }
-    }
-    if (any_signal) {
-        out += decls;
     }
     out += "begin\n";
     for (NodeId id = 0; id < nl.node_count(); ++id) {
@@ -83,8 +58,8 @@ std::string emit_vhdl(const Netlist& nl, const std::string& entity_name) {
                 break;
         }
     }
-    for (const auto& port : nl.outputs()) {
-        out += "  " + sanitize(port.name) + " <= " + wire[port.node] + ";\n";
+    for (std::size_t i = 0; i < nl.outputs().size(); ++i) {
+        out += "  " + ports.outputs[i] + " <= " + wire[nl.outputs()[i].node] + ";\n";
     }
     out += "end architecture rtl;\n";
     return out;

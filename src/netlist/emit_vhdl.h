@@ -12,7 +12,10 @@
 namespace gfr::netlist {
 
 /// Render the reachable logic of `nl` as a synthesisable VHDL entity.
-/// Port and signal names are sanitised to VHDL identifiers.
+/// Port and signal names are sanitised to VHDL identifiers.  Throws
+/// std::invalid_argument when `nl` has no outputs, or when two ports, or a
+/// port and a gate's n<id> signal, map to one identifier (VHDL compares
+/// identifiers without case).
 std::string emit_vhdl(const Netlist& nl, const std::string& entity_name);
 
 }  // namespace gfr::netlist

@@ -111,19 +111,6 @@ NodeId Netlist::find_gate(GateKind kind, NodeId a, NodeId b) const {
     return structural_hash_[probe(kind, a, b)];
 }
 
-void Netlist::set_protected(NodeId id) {
-    if (id >= nodes_.size()) {
-        throw std::out_of_range{"Netlist::set_protected: node id out of range"};
-    }
-    if (protected_.size() < nodes_.size()) {
-        protected_.resize(nodes_.size(), 0);
-    }
-    if (protected_[id] == 0) {
-        protected_[id] = 1;
-        ++protected_count_;
-    }
-}
-
 NodeId Netlist::make_and(NodeId a, NodeId b) {
     if (a >= nodes_.size() || b >= nodes_.size()) {
         throw std::out_of_range{"Netlist::make_and: fanin id out of range"};

@@ -153,16 +153,15 @@ public:
     // --- Fresh (non-interned) gates --------------------------------------
     // Append a brand-new node unconditionally: no simplification, no
     // structural-hash lookup, and the new node is never offered to future
-    // intern() calls.  Two users need this guarantee:
+    // intern() calls.  Users that need a node-for-node copy of what they
+    // read:
     //
-    //   - concurrent-error-detection circuits (guard::add_parity_ced),
-    //     whose checker logic must be structurally independent of the
-    //     multiplier it checks — interning would merge a prediction gate
-    //     with the very gate whose fault it exists to catch, making that
-    //     fault undetectable by construction;
-    //   - verbatim fault-injection clones (netlist::clone_netlist with
-    //     intern off), where hashing could simplify the injected fault
-    //     away (XOR(a,a) must stay a live, evaluable gate).
+    //   - verbatim clones (netlist::clone_netlist with intern off): the
+    //     optimizer's 1:1 starting copy and the mutation clones, where
+    //     hashing could simplify an injected fault away (XOR(a,a) must stay
+    //     a live, evaluable gate);
+    //   - parse_vhdl and acv's anonymised copies, which keep one node per
+    //     gate of the text or netlist they read.
     //
     // Equal fanins are legal here (XOR(a,a) evaluates to 0, AND(a,a) to a);
     // downstream passes and exec::Program handle duplicate operands.
@@ -176,29 +175,6 @@ public:
     /// Register a primary output.  The same node may drive several outputs.
     void add_output(std::string name, NodeId node);
 
-    // --- Protected gates --------------------------------------------------
-    // A protected gate is one the optimization passes (src/opt) must keep
-    // verbatim: never merged with another gate, never rewritten, never
-    // re-interned.  guard::add_parity_ced marks every checker gate it
-    // appends — merging a prediction gate with the multiplier gate whose
-    // fault it exists to catch would make that fault undetectable by
-    // construction.  Passes extend the guarantee to the whole transitive
-    // fanin of a protected node (the "frozen cone"), since restructuring
-    // logic a checker observes changes the fault patterns the parity groups
-    // were chosen to cover.  clone_netlist preserves marks.
-
-    /// Mark a node as protected.  Throws std::out_of_range on a bad id.
-    void set_protected(NodeId id);
-
-    [[nodiscard]] bool is_protected(NodeId id) const noexcept {
-        return id < protected_.size() && protected_[id] != 0;
-    }
-
-    /// Number of protected nodes (0 on any netlist no guard pass touched).
-    [[nodiscard]] std::size_t protected_count() const noexcept {
-        return protected_count_;
-    }
-
     // --- Inspection -------------------------------------------------------
 
     [[nodiscard]] std::size_t node_count() const noexcept { return nodes_.size(); }
@@ -207,14 +183,14 @@ public:
     [[nodiscard]] const std::vector<Port>& outputs() const noexcept { return outputs_; }
 
     /// Index of a named input among inputs(), or -1.  O(1): served by a
-    /// name->index map maintained by add_input (port matching in
-    /// equivalence/BDD checks and add_input's own uniqueness check call this
-    /// per port, which was quadratic on m=571 builds with the linear scan).
+    /// name->index map maintained by add_input (acv::prove_multiplier's
+    /// port resolution and add_input's own uniqueness check call this per
+    /// port, which was quadratic on m=571 builds with a linear scan).
     [[nodiscard]] int input_index(const std::string& name) const;
 
     /// Index of the first output with this name among outputs(), or -1.
-    /// Linear scan: output lookups happen per netlist (locating ced_alarm
-    /// after a guard pass), not per port like input matching does.
+    /// Linear scan: resolving all m outputs by name (acv::prove_multiplier)
+    /// costs O(m^2) string compares, small beside the proof that follows.
     [[nodiscard]] int output_index(const std::string& name) const;
 
     /// Probe the structural hash: the interned gate matching (kind, a, b)
@@ -259,8 +235,6 @@ private:
     std::vector<NodeId> structural_hash_;
     std::size_t interned_count_ = 0;
     std::unordered_map<std::string, int> input_index_by_name_;
-    std::vector<std::uint8_t> protected_;  ///< lazily sized; empty = no marks
-    std::size_t protected_count_ = 0;
     NodeId const0_ = kInvalidNode;
     bool structural_sharing_ = true;
 };

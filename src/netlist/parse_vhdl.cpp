@@ -124,13 +124,14 @@ Netlist parse_vhdl(const std::string& text) {
                 continue;  // not a port/signal declaration (e.g. "end ...;")
             }
             const std::string& name = before[0];
+            // A name is one port: declared once, as `in` or as `out`.
             if (after[0] == "in") {
-                if (driver.count(name) != 0) {
+                if (driver.count(name) != 0 || output_set.count(name) != 0) {
                     fail(line_no, "duplicate declaration of '" + name + "'");
                 }
                 driver.emplace(name, nl.add_input(name));
             } else if (after[0] == "out") {
-                if (!output_set.insert(name).second) {
+                if (nl.input_index(name) >= 0 || !output_set.insert(name).second) {
                     fail(line_no, "duplicate declaration of '" + name + "'");
                 }
                 output_names.push_back(name);

@@ -1,7 +1,7 @@
 // DAG-aware <=4-input cut rewriting (mockturtle-style, adapted to the
 // inverter-free AND/XOR basis).
 //
-// For every non-frozen gate, processed in topological order while the
+// For every reachable gate, processed in topological order while the
 // destination netlist is rebuilt bottom-up, the pass enumerates up to
 // cuts_per_node cuts of at most four leaves (truth tables stitched during
 // the merge), looks each cut function up in the optimal-subcircuit
@@ -266,7 +266,6 @@ bool is_gate(const netlist::Node& node) {
 PassResult rewrite_cuts(const Netlist& nl, const RewriteOptions& options) {
     const std::size_t n = nl.node_count();
     const auto reachable = nl.reachable_from_outputs();
-    const auto frozen = internal::frozen_nodes(nl);
     const auto& db = internal::XagDatabase::instance(options.max_database_gates);
     const StitchTable& stitch_tt = stitch_table();
     const auto cuts_cap = static_cast<std::size_t>(std::max(2, options.cuts_per_node));
@@ -280,12 +279,10 @@ PassResult rewrite_cuts(const Netlist& nl, const RewriteOptions& options) {
         const auto& node = nl.node(id);
         if (node.kind == GateKind::Input) {
             ++listed;
-        } else if (is_gate(node) && (reachable[id] || frozen[id])) {
+        } else if (is_gate(node) && reachable[id]) {
             ++listed;
-            if (reachable[id]) {
-                ++fanout_begin[node.a];
-                ++fanout_begin[node.b];
-            }
+            ++fanout_begin[node.a];
+            ++fanout_begin[node.b];
         }
     }
     for (std::size_t v = 1; v < n; ++v) {
@@ -340,46 +337,27 @@ PassResult rewrite_cuts(const Netlist& nl, const RewriteOptions& options) {
     DryRun run;
     TruthMemo<NodeId> build_memo;
 
-    const auto store_trivial = [&](NodeId id) {
-        ranges[id] = {pool.size(), 1};
-        pool.push_back(trivial_cut(id));
-    };
-
     for (NodeId id = 0; id < n; ++id) {
         const auto& node = nl.node(id);
         if (node.kind == GateKind::Input) {
             memo[id] = dst.add_input(*input_name[id]);
             note_mapping(memo[id]);
-            if (nl.is_protected(id)) {
-                dst.set_protected(memo[id]);
-            }
-            store_trivial(id);
+            ranges[id] = {pool.size(), 1};
+            pool.push_back(trivial_cut(id));
             continue;
         }
         if (node.kind == GateKind::Const0) {
-            if (reachable[id] || frozen[id]) {
+            if (reachable[id]) {
                 memo[id] = dst_zero;
                 note_mapping(dst_zero);
             }
             continue;  // const0 never appears as a cut leaf (tt handles it)
         }
-        if (!reachable[id] && !frozen[id]) {
+        if (!reachable[id]) {
             continue;  // dead
         }
         const NodeId fa = memo[node.a];
         const NodeId fb = memo[node.b];
-        if (frozen[id]) {
-            // Verbatim rebuild; cuts stop here so no cone ever crosses
-            // frozen logic.
-            memo[id] = (node.kind == GateKind::And2) ? dst.make_and_fresh(fa, fb)
-                                                     : dst.make_xor_fresh(fa, fb);
-            note_mapping(memo[id]);
-            if (nl.is_protected(id)) {
-                dst.set_protected(memo[id]);
-            }
-            store_trivial(id);
-            continue;
-        }
         // A fanin may be a dead Const0 sibling only when unreachable; both
         // fanins of a reachable gate are mapped here.
 
@@ -469,8 +447,8 @@ PassResult rewrite_cuts(const Netlist& nl, const RewriteOptions& options) {
             const DryResult priced = dry_run(c.tt, db, leaf_node, dst_zero, dst, run);
 
             // MFFC of id w.r.t. this cut: interior cone nodes every one of
-            // whose fanouts stays inside the cone (output-driving, frozen
-            // and candidate-reused nodes excluded) — dead after rewrite.
+            // whose fanouts stays inside the cone (output-driving and
+            // candidate-reused nodes excluded) — dead after rewrite.
             // Depth-first from the root, pushing fanin a then b.
             cone.clear();
             stack.clear();
@@ -518,8 +496,7 @@ PassResult rewrite_cuts(const Netlist& nl, const RewriteOptions& options) {
                         in_mffc[v] = 1;
                         continue;
                     }
-                    if (is_leaf(c, v) || !is_gate(nl.node(v)) || frozen[v] ||
-                        output_refs[v] > 0) {
+                    if (is_leaf(c, v) || !is_gate(nl.node(v)) || output_refs[v] > 0) {
                         in_mffc[v] = 0;
                         continue;
                     }

@@ -10,7 +10,6 @@
 //
 // The merge direction is always later-node-into-earlier-representative,
 // which keeps the substitution acyclic in the topological node order.
-// Frozen nodes (CED checker cones) are excluded from both sides.
 //
 // Candidate classes are runs of equal signature hashes in one sorted array
 // of (hash, id) pairs, so classes are confirmed in ascending hash order
@@ -134,7 +133,6 @@ bool is_identity(const PassResult& r, const Netlist& nl) {
 PassResult reduce_functional(const Netlist& nl, const ReduceOptions& options) {
     const std::size_t n = nl.node_count();
     const auto reachable = nl.reachable_from_outputs();
-    const auto frozen = internal::frozen_nodes(nl);
     const int words = std::clamp(options.signature_words, 1, 16);
 
     // --- Signatures ------------------------------------------------------
@@ -182,9 +180,6 @@ PassResult reduce_functional(const Netlist& nl, const ReduceOptions& options) {
     std::vector<Candidate> candidates;
     candidates.reserve(n);
     for (NodeId id = 0; id < n; ++id) {
-        if (frozen[id]) {
-            continue;
-        }
         const auto& node = nl.node(id);
         const bool is_gate =
             node.kind == GateKind::And2 || node.kind == GateKind::Xor2;

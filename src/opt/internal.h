@@ -11,13 +11,6 @@
 
 namespace gfr::opt::internal {
 
-/// Frozen-cone flags: a node is frozen iff it is protected or lies in the
-/// transitive fanin of a protected node.  Frozen logic must be rebuilt
-/// verbatim (fresh gates, marks preserved) by every pass — restructuring
-/// anything a CED checker observes changes the fault patterns its parity
-/// groups were selected to cover.
-[[nodiscard]] std::vector<bool> frozen_nodes(const netlist::Netlist& nl);
-
 /// strash(nl) with every node v that has subst[v] set replaced by the
 /// image of subst[v]; an empty subst substitutes nothing.  Reachability is
 /// nl's, so logic the substitution orphans survives until the next strash.

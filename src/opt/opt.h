@@ -1,16 +1,15 @@
 #ifndef GFR_OPT_OPT_H
 #define GFR_OPT_OPT_H
 
-// Netlist optimization pipeline (ROADMAP item 2): the repo generated,
-// mapped, verified and guarded multiplier netlists but never *optimized*
-// them.  This layer adds four mockturtle-style passes over the AND/XOR IR:
+// Netlist optimization pipeline: four mockturtle-style passes over the
+// AND/XOR IR.
 //
 //   strash             — re-intern an arbitrary netlist bottom-up: constant
 //                        folding, duplicate-gate merging (structural
-//                        hashing) and dead-logic sweep in one pass.  Today
-//                        only generator-emitted gates get interned; fresh
-//                        gates (CED checkers, fault clones) and any logic a
-//                        pass left dead never did.
+//                        hashing) and dead-logic sweep in one pass.  This
+//                        also interns fresh gates (verbatim clones, parsed
+//                        VHDL, literal elaborations) and sweeps any logic a
+//                        pass left dead.
 //   rewrite_cuts       — DAG-aware rewriting of <=4-input cuts against a
 //                        precomputed optimal-subcircuit database (XAG
 //                        functions enumerated to minimal tree cost; the
@@ -44,14 +43,6 @@
 // node count, the same (kind, a, b) at every id, the same ports with the
 // same names), which is equivalent by construction; never on gate count
 // alone.
-//
-// Protected gates (guard::add_parity_ced checker logic) are never merged,
-// rewritten or re-interned.  A node is *frozen* iff it is protected or in
-// the transitive fanin of a protected node; frozen logic is rebuilt
-// verbatim through the fresh (non-interned) gate API with marks preserved.
-// On a guarded netlist the entire multiplier sits in the actual-parity
-// trees' fanin, so the pipeline is intentionally ~identity there: optimize
-// first, then guard (the README documents the order).
 
 #include "netlist/equivalence.h"
 #include "netlist/netlist.h"
@@ -139,9 +130,8 @@ private:
 
 struct OptOptions {
     bool strash = true;
-    /// Global XOR restructuring via the synthesis passes.  Automatically
-    /// skipped when the netlist carries protected gates (the synthesis
-    /// passes are not protection-aware); it also invalidates the node map.
+    /// Global XOR restructuring via the synthesis passes.  When it commits,
+    /// it invalidates the node map (see OptResult::node_map_valid).
     bool restructure = true;
     /// Cut-rewriting rounds (0 disables); rounds stop early when a round
     /// stops improving the gate count.
@@ -168,9 +158,8 @@ struct OptResult {
     std::vector<PassReport> passes;
     /// Composed old-id -> new-id map across all executed passes, valid only
     /// when node_map_valid (the restructure stage rebuilds from flattened
-    /// equations and cannot produce one).  On guarded netlists restructure
-    /// is skipped, so CED bookkeeping (CedInfo::covered_sites) can always
-    /// be remapped through this.
+    /// equations and cannot produce one, so it is valid whenever
+    /// restructure is off or committed nothing).
     std::vector<netlist::NodeId> node_map;
     bool node_map_valid = false;
 

@@ -2,7 +2,7 @@
 // functional reduction -> final strash.  After every stage the candidate is
 // checked for combinational equivalence against the stage's input; a
 // failing stage throws VerificationError and its output is discarded, so
-// nothing downstream (mappers, emitters, reports, guards) ever consumes an
+// nothing downstream (mappers, emitters, reports) ever consumes an
 // unverified netlist.  A candidate node-for-node identical to the stage's
 // input is equivalent by construction and skips the campaign; a gate count
 // alone never does.
@@ -43,8 +43,7 @@ std::vector<NodeId> compose_maps(const std::vector<NodeId>& first,
 
 OptResult optimize(const Netlist& nl, const OptOptions& options) {
     OptResult result;
-    // Verbatim replica: 1:1 node ids seed the composed map, and guarded
-    // inputs must not have their fresh checker gates re-interned here.
+    // Verbatim replica: 1:1 node ids seed the composed map.
     result.netlist = netlist::clone_netlist(nl, {.intern = false});
     result.node_map.resize(nl.node_count());
     for (NodeId id = 0; id < nl.node_count(); ++id) {
@@ -94,12 +93,11 @@ OptResult optimize(const Netlist& nl, const OptOptions& options) {
         commit("strash", std::move(r.netlist), std::move(r.node_map), after);
     }
 
-    if (options.restructure && result.netlist.protected_count() == 0) {
+    if (options.restructure) {
         // Global XOR restructuring via the synthesis passes: best-of over
         // two strategies (ANF regrouping by output signature, and plain
         // fast-extract), mirroring the FPGA flow's strategy search.  These
-        // rebuild from flattened equations, so no node map survives; they
-        // are skipped entirely on guarded netlists (protected gates).
+        // rebuild from flattened equations, so no node map survives.
         netlist::SynthOptions grouped;
         grouped.flatten_anf = true;
         grouped.group_cones = true;

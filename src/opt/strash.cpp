@@ -14,33 +14,6 @@ using netlist::NodeId;
 
 namespace internal {
 
-std::vector<bool> frozen_nodes(const Netlist& nl) {
-    const std::size_t n = nl.node_count();
-    std::vector<bool> frozen(n, false);
-    if (nl.protected_count() == 0) {
-        return frozen;
-    }
-    std::vector<NodeId> stack;
-    for (NodeId id = 0; id < n; ++id) {
-        if (nl.is_protected(id)) {
-            frozen[id] = true;
-            stack.push_back(id);
-        }
-    }
-    while (!stack.empty()) {
-        const NodeId id = stack.back();
-        stack.pop_back();
-        const auto& node = nl.node(id);
-        for (const NodeId fi : {node.a, node.b}) {
-            if (fi != kInvalidNode && !frozen[fi]) {
-                frozen[fi] = true;
-                stack.push_back(fi);
-            }
-        }
-    }
-    return frozen;
-}
-
 bool identical(const Netlist& x, const Netlist& y) {
     if (x.node_count() != y.node_count() || x.inputs().size() != y.inputs().size() ||
         x.outputs().size() != y.outputs().size()) {
@@ -65,7 +38,6 @@ bool identical(const Netlist& x, const Netlist& y) {
 PassResult strash_substituted(const Netlist& nl, const std::vector<NodeId>& subst) {
     const std::size_t n = nl.node_count();
     const auto reachable = nl.reachable_from_outputs();
-    const auto frozen = internal::frozen_nodes(nl);
 
     PassResult r;
     r.node_map.assign(n, kInvalidNode);
@@ -89,33 +61,21 @@ PassResult strash_substituted(const Netlist& nl, const std::vector<NodeId>& subs
                 r.node_map[id] = dst.add_input(input_name[id]);
                 break;
             case GateKind::Const0:
-                if (reachable[id] || frozen[id]) {
+                if (reachable[id]) {
                     r.node_map[id] = dst.const0();
                 }
                 break;
             case GateKind::And2:
             case GateKind::Xor2: {
-                if (!reachable[id] && !frozen[id]) {
+                if (!reachable[id]) {
                     break;  // swept
                 }
                 const NodeId fa = r.node_map[node.a];
                 const NodeId fb = r.node_map[node.b];
-                if (frozen[id]) {
-                    // Verbatim rebuild: fresh gate, out of reach of the
-                    // structural hash, exactly as the guard pass built it.
-                    r.node_map[id] = (node.kind == GateKind::And2)
-                                         ? dst.make_and_fresh(fa, fb)
-                                         : dst.make_xor_fresh(fa, fb);
-                } else {
-                    r.node_map[id] = (node.kind == GateKind::And2)
-                                         ? dst.make_and(fa, fb)
-                                         : dst.make_xor(fa, fb);
-                }
+                r.node_map[id] = (node.kind == GateKind::And2) ? dst.make_and(fa, fb)
+                                                               : dst.make_xor(fa, fb);
                 break;
             }
-        }
-        if (r.node_map[id] != kInvalidNode && nl.is_protected(id)) {
-            dst.set_protected(r.node_map[id]);
         }
     }
 

@@ -6,7 +6,6 @@
 #include "acv/acv.h"
 
 #include "field/field_catalog.h"
-#include "guard/parity_ced.h"
 #include "multipliers/generator.h"
 #include "multipliers/verify.h"
 #include "netlist/simulate.h"
@@ -202,16 +201,21 @@ TEST(AcvProve, ProvesOptimizedNetlists) {
     EXPECT_FALSE(prove_multiplier(optimized.netlist, gf64).has_value());
 }
 
-TEST(AcvProve, ProvesGuardedNetlistWithCheckerExcluded) {
-    // CED-guarded netlists carry extra ced_err*/ced_alarm outputs, which the
-    // simulation verifier rejects outright; the algebraic prover resolves
-    // ports by name and simply never expands the checker lanes.
+TEST(AcvProve, ProvesNetlistWithExtraOutputsExcluded) {
+    // Outputs beside c0..c(m-1) make the simulation verifier reject the
+    // netlist outright; the algebraic prover resolves ports by name and
+    // simply never expands the extra lanes.
     for (const int m : {8, 64}) {
         const field::Field fld = m == 8 ? field::gf256_paper_field()
                                         : field::Field::type2(64, 23);
         auto nl = mult::build_multiplier(mult::Method::Date2018Flat, fld);
-        guard::add_parity_ced(nl, fld);
-        ASSERT_GT(nl.outputs().size(), static_cast<std::size_t>(m));
+        const auto c0 = nl.outputs()[0].node;
+        const auto c1 = nl.outputs()[1].node;
+        const auto a0 = nl.inputs()[0].node;
+        const auto b0 = nl.inputs()[static_cast<std::size_t>(m)].node;
+        nl.add_output("obs_parity", nl.make_xor(c0, c1));
+        nl.add_output("obs_and", nl.make_and(a0, b0));
+        ASSERT_EQ(nl.outputs().size(), static_cast<std::size_t>(m) + 2);
         EXPECT_THROW(static_cast<void>(mult::verify_multiplier(nl, fld)),
                      std::invalid_argument);
         EXPECT_FALSE(prove_multiplier(nl, fld).has_value());

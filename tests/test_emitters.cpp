@@ -5,8 +5,22 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace gfr::netlist {
 namespace {
+
+/// The std::invalid_argument message `emit` throws, or "" when it returns.
+template <typename Emit>
+std::string emit_error(const Emit& emit) {
+    try {
+        static_cast<void>(emit());
+    } catch (const std::invalid_argument& e) {
+        return e.what();
+    }
+    return "";
+}
 
 Netlist small_circuit() {
     Netlist nl;
@@ -84,6 +98,65 @@ TEST(EmitVerilog, OneAssignPerReachableGate) {
     }
     // 3 gates + 2 output aliases = 5 assigns.
     EXPECT_EQ(count, 5U);
+}
+
+// --- Identifier collisions (both emitters) ---------------------------------
+
+TEST(EmitHdl, RejectsPortsThatSanitizeToOneIdentifier) {
+    Netlist nl;
+    const auto a = nl.add_input("a[0]");
+    const auto b = nl.add_input("a_0_");
+    nl.add_output("y", nl.make_xor(a, b));
+    EXPECT_EQ(emit_error([&] { return emit_vhdl(nl, "m"); }),
+              "emit_vhdl: input 'a[0]' and input 'a_0_' map to the same VHDL "
+              "identifier 'a_0_'");
+    EXPECT_EQ(emit_error([&] { return emit_verilog(nl, "m"); }),
+              "emit_verilog: input 'a[0]' and input 'a_0_' map to the same Verilog "
+              "identifier 'a_0_'");
+}
+
+TEST(EmitHdl, RejectsPortNamedLikeAGateWire) {
+    Netlist nl;
+    const auto a = nl.add_input("a");
+    const auto n2 = nl.add_input("n2");  // node 1: its own wire is n1
+    const auto g = nl.make_and(a, n2);   // node 2, emitted as wire n2
+    ASSERT_EQ(g, 2U);
+    nl.add_output("y", g);
+    EXPECT_EQ(emit_error([&] { return emit_vhdl(nl, "m"); }),
+              "emit_vhdl: input 'n2' and the wire of node 2 map to the same VHDL "
+              "identifier 'n2'");
+    EXPECT_EQ(emit_error([&] { return emit_verilog(nl, "m"); }),
+              "emit_verilog: input 'n2' and the wire of node 2 map to the same "
+              "Verilog identifier 'n2'");
+
+    // Names of wires that are not emitted (inputs, dead gates, ids past
+    // the netlist, leading zeros) stay legal.
+    Netlist ok;
+    const auto n1 = ok.add_input("n1");
+    const auto x = ok.add_input("n02");
+    static_cast<void>(ok.make_and(n1, x));  // node 2, dead
+    ok.add_output("n9", ok.make_xor(n1, x));
+    EXPECT_EQ(emit_error([&] { return emit_vhdl(ok, "m"); }), "");
+    EXPECT_EQ(emit_error([&] { return emit_verilog(ok, "m"); }), "");
+}
+
+TEST(EmitHdl, VhdlComparesIdentifiersWithoutCase) {
+    Netlist nl;
+    const auto lower = nl.add_input("a");
+    const auto upper = nl.add_input("A");
+    nl.add_output("y", nl.make_xor(lower, upper));
+    EXPECT_EQ(emit_error([&] { return emit_vhdl(nl, "m"); }),
+              "emit_vhdl: input 'a' and input 'A' map to the same VHDL identifier 'A'");
+    EXPECT_EQ(emit_error([&] { return emit_verilog(nl, "m"); }), "");
+
+    Netlist wire;
+    const auto p = wire.add_input("p");
+    const auto q = wire.add_input("q");
+    wire.add_output("N2", wire.make_xor(p, q));
+    EXPECT_EQ(emit_error([&] { return emit_vhdl(wire, "m"); }),
+              "emit_vhdl: output 'N2' and the wire of node 2 map to the same VHDL "
+              "identifier 'N2'");
+    EXPECT_EQ(emit_error([&] { return emit_verilog(wire, "m"); }), "");
 }
 
 }  // namespace

@@ -121,26 +121,6 @@ void expect_same_interpreted(const Netlist& a, const Netlist& b,
     }
 }
 
-/// Random netlist with a few protected ("checker") gates: marks must
-/// survive every opt pass and the marked logic must never be re-interned.
-Netlist random_protected_netlist(std::uint64_t seed) {
-    Netlist nl = random_netlist(seed);
-    testutil::Xorshift64Star rng{seed ^ 0xCEDULL};
-    std::vector<NodeId> gates;
-    for (NodeId id = 0; id < nl.node_count(); ++id) {
-        const auto kind = nl.node(id).kind;
-        if (kind == GateKind::And2 || kind == GateKind::Xor2) {
-            gates.push_back(id);
-        }
-    }
-    if (!gates.empty()) {
-        for (int k = 0; k < 3; ++k) {
-            nl.set_protected(gates[rng() % gates.size()]);
-        }
-    }
-    return nl;
-}
-
 TEST_P(PassFuzz, OptStrashPreservesFunction) {
     const Netlist nl = random_netlist(GetParam());
     const opt::PassResult r = opt::strash(nl);
@@ -172,25 +152,6 @@ TEST_P(PassFuzz, OptPipelinePreservesFunction) {
     expect_same_interpreted(nl, r.netlist, GetParam());
     for (const auto& pass : r.passes) {
         EXPECT_TRUE(pass.verified) << pass.pass;
-    }
-}
-
-TEST_P(PassFuzz, OptPassesPreserveProtectedMarks) {
-    const Netlist nl = random_protected_netlist(GetParam());
-    const std::size_t marks = nl.protected_count();
-    for (int which = 0; which < 3; ++which) {
-        const opt::PassResult r = which == 0   ? opt::strash(nl)
-                                  : which == 1 ? opt::rewrite_cuts(nl)
-                                               : opt::reduce_functional(nl);
-        EXPECT_FALSE(check_equivalence(nl, r.netlist).has_value()) << which;
-        EXPECT_EQ(r.netlist.protected_count(), marks) << which;
-        for (NodeId id = 0; id < nl.node_count(); ++id) {
-            if (!nl.is_protected(id)) {
-                continue;
-            }
-            ASSERT_NE(r.node_map[id], kInvalidNode) << which;
-            EXPECT_TRUE(r.netlist.is_protected(r.node_map[id])) << which;
-        }
     }
 }
 

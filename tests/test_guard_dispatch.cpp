@@ -34,7 +34,6 @@ TEST(GuardStatus, Basics) {
     EXPECT_STREQ(guard::fault_name(guard::Fault::None), "none");
     EXPECT_STREQ(guard::fault_name(guard::Fault::KernelSelfTest),
                  "kernel-self-test");
-    EXPECT_STREQ(guard::fault_name(guard::Fault::ParityAlarm), "parity-alarm");
 }
 
 TEST(GuardLadder, EnvFlagParsing) {

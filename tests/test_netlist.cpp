@@ -1,12 +1,18 @@
-// Netlist IR: construction, simplification rules, structural hashing, stats,
-// and the O(1) input-name index — property cases run on the shared harness
-// (tests/testutil.h).
+// Netlist IR: construction, simplification rules, structural hashing, fresh
+// (non-interned) gates and verbatim clones, stats, and the O(1) input-name
+// index — property cases run on the shared harness (tests/testutil.h).
 
 #include "netlist/netlist.h"
+
+#include "field/field_catalog.h"
+#include "multipliers/generator.h"
+#include "netlist/clone.h"
+#include "netlist/equivalence.h"
 #include "testutil.h"
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -218,6 +224,41 @@ TEST(Netlist, TopologicalInvariant) {
             EXPECT_LT(n.b, id);
         }
     }
+}
+
+TEST(Netlist, VerbatimCloneIsNodeForNode) {
+    const field::Field f = field::table5_fields()[0].make();
+    const Netlist src = mult::build_paar_mastrovito(f);
+    const Netlist copy = clone_netlist(src, {.intern = false});
+    ASSERT_EQ(copy.node_count(), src.node_count());
+    for (NodeId id = 0; id < src.node_count(); ++id) {
+        EXPECT_EQ(static_cast<int>(copy.node(id).kind),
+                  static_cast<int>(src.node(id).kind));
+        EXPECT_EQ(copy.node(id).a, src.node(id).a);
+        EXPECT_EQ(copy.node(id).b, src.node(id).b);
+    }
+    EXPECT_FALSE(check_equivalence(src, copy).has_value());
+}
+
+TEST(Netlist, FreshGatesAreNotInterned) {
+    Netlist nl;
+    const auto a = nl.add_input("a0");
+    const auto b = nl.add_input("b0");
+    const auto x1 = nl.make_xor(a, b);
+    // Fresh gates never join the structural-hash table: an identical fresh
+    // gate gets a new id, and XOR(a,a)/AND(a,a) stay live.
+    const auto x2 = nl.make_xor_fresh(a, b);
+    EXPECT_NE(x1, x2);
+    const auto x3 = nl.make_xor(a, b);  // interned: finds the original
+    EXPECT_EQ(x1, x3);
+    const auto z = nl.make_xor_fresh(a, a);
+    const auto w = nl.make_and_fresh(a, a);
+    EXPECT_NE(z, w);
+    EXPECT_THROW(static_cast<void>(nl.make_xor_fresh(static_cast<NodeId>(999), a)),
+                 std::out_of_range);
+    nl.add_output("c0", x1);
+    EXPECT_EQ(nl.output_index("c0"), 0);
+    EXPECT_EQ(nl.output_index("missing"), -1);
 }
 
 }  // namespace

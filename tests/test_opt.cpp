@@ -1,19 +1,14 @@
 // Optimization-pipeline tier: the four passes of src/opt (strash, cut
 // rewriting, functional reduction, the campaign-gated optimize() chain),
-// the structural-hash key regression, CED-preservation through the
-// pipeline, and the widened netlist statistics.
+// the structural-hash key regression, and the widened netlist statistics.
 
 #include "field/field_catalog.h"
-#include "guard/parity_ced.h"
 #include "multipliers/generator.h"
 #include "multipliers/verify.h"
-#include "netlist/clone.h"
 #include "netlist/equivalence.h"
 #include "netlist/passes.h"
-#include "netlist/simulate.h"
 #include "opt/internal.h"
 #include "opt/opt.h"
-#include "verify/fault_campaign.h"
 #include "testutil.h"
 
 #include <gtest/gtest.h>
@@ -247,45 +242,6 @@ TEST(NetlistStats, LargeGeneratedNetlistCountsStayConsistent) {
     EXPECT_GT(area_depth, 0);
 }
 
-// --- Protected marks ---------------------------------------------------------
-
-TEST(ProtectedMarks, SetQueryCountAndCloneSurvival) {
-    Netlist nl;
-    const NodeId a = nl.add_input("a");
-    const NodeId b = nl.add_input("b");
-    const NodeId g = nl.make_xor(a, b);
-    nl.add_output("y", g);
-    EXPECT_EQ(nl.protected_count(), 0U);
-    EXPECT_FALSE(nl.is_protected(g));
-    nl.set_protected(g);
-    nl.set_protected(g);  // idempotent
-    EXPECT_TRUE(nl.is_protected(g));
-    EXPECT_EQ(nl.protected_count(), 1U);
-    EXPECT_THROW(nl.set_protected(static_cast<NodeId>(nl.node_count())),
-                 std::out_of_range);
-    // Clones preserve marks in both modes.
-    const Netlist verbatim = netlist::clone_netlist(nl, {.intern = false});
-    EXPECT_EQ(verbatim.protected_count(), 1U);
-    EXPECT_TRUE(verbatim.is_protected(g));
-    const Netlist interned = netlist::clone_netlist(nl);
-    EXPECT_EQ(interned.protected_count(), 1U);
-}
-
-TEST(ProtectedMarks, CedCheckerGatesAreMarked) {
-    const field::Field f = field::table5_fields()[0].make();  // (8,2)
-    Netlist nl = mult::build_date2018_flat(f);
-    EXPECT_EQ(nl.protected_count(), 0U);
-    const auto info = guard::add_parity_ced(nl, f);
-    EXPECT_GT(nl.protected_count(), 0U);
-    // Every protected node is a checker gate (appended after the original
-    // multiplier), never original multiplier logic.
-    for (NodeId id = 0; id < nl.node_count(); ++id) {
-        if (nl.is_protected(id)) {
-            EXPECT_GE(static_cast<std::size_t>(id), info.original_nodes);
-        }
-    }
-}
-
 // --- strash ------------------------------------------------------------------
 
 TEST(Strash, MergesFreshDuplicatesAndSweepsDeadLogic) {
@@ -303,24 +259,6 @@ TEST(Strash, MergesFreshDuplicatesAndSweepsDeadLogic) {
     EXPECT_EQ(r.netlist.inputs().size(), 3U);  // interface preserved
     EXPECT_EQ(r.netlist.stats().gates(), 1);   // merged + swept
     EXPECT_EQ(r.node_map[g1], r.node_map[g2]);
-}
-
-TEST(Strash, FrozenGatesAreRebuiltVerbatim) {
-    Netlist nl;
-    const NodeId a = nl.add_input("a");
-    const NodeId b = nl.add_input("b");
-    const NodeId g1 = nl.make_xor(a, b);
-    const NodeId g2 = nl.make_xor_fresh(a, b);  // a "checker" duplicate
-    nl.set_protected(g2);
-    nl.add_output("y", g1);
-    nl.add_output("chk", g2);
-    const PassResult r = strash(nl);
-    EXPECT_FALSE(netlist::check_equivalence(nl, r.netlist).has_value());
-    // The protected duplicate must NOT merge into the interned gate.
-    EXPECT_NE(r.node_map[g1], r.node_map[g2]);
-    EXPECT_TRUE(r.netlist.is_protected(r.node_map[g2]));
-    EXPECT_EQ(r.netlist.protected_count(), 1U);
-    EXPECT_EQ(r.netlist.stats().gates(), 2);
 }
 
 // --- rewrite_cuts ------------------------------------------------------------
@@ -615,59 +553,6 @@ TEST(OptimizeAndVerify, ReverifiesAgainstTheFieldReference) {
     const OptResult r = mult::optimize_and_verify(nl, f);
     EXPECT_LE(r.gates_after(), r.gates_before());
     EXPECT_FALSE(mult::verify_multiplier(r.netlist, f).has_value());
-}
-
-// --- CED preservation through the pipeline -----------------------------------
-
-TEST(Optimize, GuardedNetlistKeepsCheckerSemantics) {
-    const field::Field f = field::table5_fields()[0].make();  // (8,2)
-    Netlist guarded = mult::build_date2018_flat(f);
-    const auto info = guard::add_parity_ced(guarded, f);
-    const std::size_t marks = guarded.protected_count();
-    ASSERT_GT(marks, 0U);
-
-    const OptResult r = optimize(guarded);
-    // Restructure is skipped on protected netlists, so the composed node
-    // map stays valid and CED bookkeeping can be remapped through it.
-    ASSERT_TRUE(r.node_map_valid);
-    EXPECT_FALSE(netlist::check_equivalence(guarded, r.netlist).has_value());
-    EXPECT_EQ(r.netlist.protected_count(), marks);
-
-    // Remap the covered sites and rerun the fault campaign on the OPTIMIZED
-    // guarded netlist: the 100%-detection guarantee must survive verbatim.
-    std::vector<NodeId> sites;
-    sites.reserve(info.covered_sites.size());
-    for (const NodeId site : info.covered_sites) {
-        const NodeId mapped = r.node_map[site];
-        ASSERT_NE(mapped, kInvalidNode) << "covered site swept by a pass";
-        sites.push_back(mapped);
-    }
-    const auto report = verify::run_fault_campaign(
-        r.netlist, sites, static_cast<std::size_t>(f.degree()),
-        static_cast<std::size_t>(
-            r.netlist.output_index(guard::kCedAlarmOutput)));
-    EXPECT_EQ(report.escaped, 0U) << report.to_string();
-    EXPECT_TRUE(report.all_detected());
-    EXPECT_GT(report.detected, 0U);
-
-    // Zero false alarms: on the clean optimized circuit every CED output
-    // stays low across random input blocks.
-    netlist::Simulator sim(r.netlist);
-    testutil::Xorshift64Star rng{0x0dd5eedULL};
-    const std::size_t n_in = r.netlist.inputs().size();
-    const auto n_function = static_cast<std::size_t>(f.degree());
-    std::vector<std::uint64_t> in(n_in);
-    for (int block = 0; block < 16; ++block) {
-        for (auto& w : in) {
-            w = rng.next();
-        }
-        const auto out = sim.run(in);
-        for (std::size_t o = n_function; o < out.size(); ++o) {
-            ASSERT_EQ(out[o], 0U)
-                << "CED output " << r.netlist.outputs()[o].name
-                << " raised on the clean optimized circuit";
-        }
-    }
 }
 
 }  // namespace

@@ -105,6 +105,12 @@ TEST(ParseVhdl, RejectsMalformedTextWithLineNumbers) {
     EXPECT_NE(line_error("a : in std_logic;\nc : out std_logic;\n")
                   .find("no driver"),
               std::string::npos);
+    // One name declared as both an input and an output, in either order.
+    EXPECT_EQ(line_error("a : in std_logic;\na : out std_logic;\n"),
+              "parse_vhdl: line 2: duplicate declaration of 'a'");
+    EXPECT_EQ(line_error("a : out std_logic;\nb : in std_logic;\n"
+                         "a : in std_logic;\na <= b;\n"),
+              "parse_vhdl: line 3: duplicate declaration of 'a'");
 }
 
 TEST(ReverseEngineer, RecoversEveryTableVField) {
