@@ -9,9 +9,12 @@
 // oracle — exhaustive (and therefore sound) only for 2m <= 22, statistical
 // everywhere else.  prove_multiplier() closes that gap: it rewrites every
 // output column's function backward through the netlist to its canonical
-// ANF over the primary inputs and compares that against the word-level spec
-// of C = A*B mod f.  Equal ANFs mean equal Boolean functions — a *proof*
-// for any m, with zero simulation.  The m columns are independent, so they
+// ANF over the primary inputs and checks that against the same column of
+// the word-level spec of C = A*B mod f (ColumnChecker: the column's
+// monomial count, and each monomial a pair a_i*b_j whose x^(i+j) mod f
+// reaches the column; the spec itself is built only to report a mismatch).
+// Equal ANFs mean equal Boolean functions — a *proof* for any m, with zero
+// simulation.  The m columns are independent, so they
 // ride verify::Campaign's sharded driver; the verdict (and the reported
 // failure) is the lowest failing column, bit-identical at any thread count.
 //

@@ -15,17 +15,18 @@
 //
 //   - Substitution strictly decreases the maximal gate variable of a
 //     monomial (fanin id < gate id), so bucketing monomials by that maximum
-//     and always expanding the highest pending bucket next (a max-heap of
-//     the buckets holding monomials) visits each gate exactly once, without
-//     touching the ids whose buckets stay empty.
+//     and always expanding the highest pending bucket next (one pending bit
+//     per node, scanned downward from the root's word) visits each gate
+//     exactly once.
 //   - Identical monomials share the same maximal gate variable, so they
 //     always meet in the same bucket *before* it is expanded — per-bucket
 //     parity deduplication is the only cancellation the algorithm ever
 //     needs (plus one final pass over the input-only monomials).
 //
-// multiplier_spec() builds the reference side: the per-output-column
-// monomial sets of C = A*B mod f, straight from x^s mod f — the word-level
-// signature the backward rewriting must reach.
+// ColumnChecker is the reference side: column k of C = A*B mod f holds the
+// pairs a_i*b_j with bit k of x^(i+j) mod f set.  It checks an extracted
+// column against that set from the rows x^s mod f and a count per column,
+// without building the set; only a mismatch report builds it.
 
 #include "gf2/gf2_poly.h"
 #include "netlist/netlist.h"
@@ -144,26 +145,62 @@ private:
     /// Returns false when doing so would exceed the monomial cap.
     bool emit(const Monomial& mono, std::vector<Monomial>& out);
 
+    /// Cancel the finished monomials mod 2 into canonical (sorted) order.
+    void cancel_finished(std::vector<Monomial>& out);
+
     const netlist::Netlist* nl_;
+    std::vector<netlist::GateKind> kinds_;        ///< gate kind by node id
     std::vector<std::vector<Monomial>> buckets_;  ///< by maximal gate var
-    std::vector<netlist::NodeId> touched_;        ///< max-heap: buckets holding monomials
+    std::vector<std::uint64_t> pending_;          ///< one bit per non-empty bucket
     std::vector<Monomial> work_;
+    std::vector<std::uint64_t> keys_;             ///< packed finished monomials
     std::size_t live_ = 0;  ///< monomials currently in buckets
     std::size_t cap_ = 0;
     Stats stats_;
 };
 
-/// The reference signature of C = A*B mod `modulus`, per output column:
-/// columns[k] is the sorted set of monomials a_i*b_j (as node-id pairs) with
-/// bit k of x^(i+j) mod f set.  All 2m node ids must be distinct.
-struct SpecTable {
-    std::vector<std::vector<Monomial>> columns;
-    std::size_t total_monomials = 0;
-};
+/// The reference signature of C = A*B mod `modulus`, one output column at a
+/// time: column k is the set of monomials a_i*b_j (as node-id pairs) with
+/// bit k of x^(i+j) mod f set.  Holds the 2m-1 rows x^s mod f, the size of
+/// each column and each operand node's bit, not the monomial sets.
+class ColumnChecker {
+public:
+    /// Throws std::invalid_argument unless deg f >= 2, each operand has m
+    /// nodes and all 2m node ids are distinct.
+    ColumnChecker(const gf2::Poly& modulus, std::span<const netlist::NodeId> a_nodes,
+                  std::span<const netlist::NodeId> b_nodes);
 
-SpecTable multiplier_spec(const gf2::Poly& modulus,
-                          std::span<const netlist::NodeId> a_nodes,
-                          std::span<const netlist::NodeId> b_nodes);
+    /// Monomials over all m columns.
+    [[nodiscard]] std::size_t total_monomials() const noexcept { return total_; }
+
+    /// i for node a_i, m + i for node b_i, -1 for any other node.
+    [[nodiscard]] int operand_bit(netlist::NodeId v) const noexcept {
+        return v < operand_bit_.size() ? operand_bit_[v] : -1;
+    }
+
+    /// Whether a canonical ANF (sorted, duplicate-free) is column k.  It is
+    /// iff it has exactly as many monomials as column k and each one is a
+    /// pair a_i*b_j with bit k of x^(i+j) mod f set: column k holds each
+    /// pair once, so a duplicate-free subset of its size is all of it.
+    [[nodiscard]] bool matches(int k, std::span<const Monomial> anf) const;
+
+    /// Column k as a sorted monomial list, for reporting a mismatch.
+    [[nodiscard]] std::vector<Monomial> column(int k) const;
+
+private:
+    /// Bit k of x^s mod f.
+    [[nodiscard]] bool row_bit(int s, int k) const {
+        return rows_[static_cast<std::size_t>(s)].coeff(k);
+    }
+
+    int m_ = 0;
+    std::vector<gf2::Poly> rows_;       ///< x^s mod f for s = 0..2m-2
+    std::vector<std::size_t> counts_;   ///< monomials per column
+    std::size_t total_ = 0;
+    std::vector<int> operand_bit_;      ///< by node id
+    std::vector<netlist::NodeId> a_nodes_;
+    std::vector<netlist::NodeId> b_nodes_;
+};
 
 }  // namespace gfr::acv
 

@@ -1,10 +1,12 @@
 // prove_multiplier: backward algebraic rewriting of every output column,
 // sharded over verify::Campaign.  Column k's sweep rewrites the c_k driver
-// down to primary inputs and compares the canonical ANF against the
-// reference signature from multiplier_spec().  Columns are independent and
-// results land in per-column slots, so the campaign's globally-minimum
-// failing sweep IS the lowest divergent column — the verdict and the
-// counterexample are bit-identical at any thread count.
+// down to primary inputs and checks the canonical ANF against column k of
+// the reference signature with ColumnChecker, which counts the column and
+// tests each monomial's membership without building it; a mismatch builds
+// the sorted column for the residual and the witness.  Columns are
+// independent and results land in per-column slots, so the campaign's
+// globally-minimum failing sweep IS the lowest divergent column — the
+// verdict and the counterexample are bit-identical at any thread count.
 
 #include "acv/acv.h"
 
@@ -47,8 +49,6 @@ struct PortMap {
     std::vector<NodeId> a_nodes;
     std::vector<NodeId> b_nodes;
     std::vector<NodeId> c_drivers;
-    /// node id -> operand bit: i for a_i, m+i for b_i, -1 otherwise.
-    std::vector<int> operand_bit;
 };
 
 PortMap resolve_ports(const Netlist& nl, int m) {
@@ -63,7 +63,6 @@ PortMap resolve_ports(const Netlist& nl, int m) {
     ports.a_nodes.resize(static_cast<std::size_t>(m));
     ports.b_nodes.resize(static_cast<std::size_t>(m));
     ports.c_drivers.resize(static_cast<std::size_t>(m));
-    ports.operand_bit.assign(nl.node_count(), -1);
     for (int i = 0; i < m; ++i) {
         const int ai = nl.input_index("a" + std::to_string(i));
         const int bi = nl.input_index("b" + std::to_string(i));
@@ -80,8 +79,6 @@ PortMap resolve_ports(const Netlist& nl, int m) {
         ports.b_nodes[static_cast<std::size_t>(i)] = bn;
         ports.c_drivers[static_cast<std::size_t>(i)] =
             nl.outputs()[static_cast<std::size_t>(ci)].node;
-        ports.operand_bit[an] = i;
-        ports.operand_bit[bn] = m + i;
     }
     return ports;
 }
@@ -92,8 +89,8 @@ PortMap resolve_ports(const Netlist& nl, int m) {
 /// one monomial and no other — the netlist bit and the reference bit differ
 /// at that assignment by construction.
 ProofFailure mismatch_failure(int column, const std::vector<Monomial>& anf,
-                              const std::vector<Monomial>& spec,
-                              const PortMap& ports, const Field& field) {
+                              const ColumnChecker& checker, const Field& field) {
+    const std::vector<Monomial> spec = checker.column(column);
     std::vector<Monomial> residual;
     std::set_symmetric_difference(anf.begin(), anf.end(), spec.begin(),
                                   spec.end(), std::back_inserter(residual));
@@ -108,9 +105,9 @@ ProofFailure mismatch_failure(int column, const std::vector<Monomial>& anf,
     }
     gf2::Poly a;
     gf2::Poly b;
-    const int m = static_cast<int>(ports.a_nodes.size());
+    const int m = field.degree();
     for (int i = 0; i < minimal->count; ++i) {
-        const int bit = ports.operand_bit[minimal->vars[static_cast<std::size_t>(i)]];
+        const int bit = checker.operand_bit(minimal->vars[static_cast<std::size_t>(i)]);
         if (bit < m) {
             a.set_coeff(bit, true);
         } else {
@@ -132,8 +129,7 @@ std::optional<ProofFailure> prove_multiplier(const Netlist& nl,
                                              ProofStats* stats) {
     const int m = field.degree();
     const PortMap ports = resolve_ports(nl, m);
-    const SpecTable spec =
-        multiplier_spec(field.modulus(), ports.a_nodes, ports.b_nodes);
+    const ColumnChecker checker{field.modulus(), ports.a_nodes, ports.b_nodes};
 
     // Per-COLUMN result slots: a worker only ever writes slot k while owning
     // sweep k, so there is no cross-worker contention, and the campaign's
@@ -168,12 +164,11 @@ std::optional<ProofFailure> prove_multiplier(const Netlist& nl,
                 return true;
             }
             column_monomials[static_cast<std::size_t>(k)] = anf->size();
-            if (*anf == spec.columns[static_cast<std::size_t>(k)]) {
+            if (checker.matches(k, *anf)) {
                 return false;
             }
-            failures[static_cast<std::size_t>(k)] = mismatch_failure(
-                k, *anf, spec.columns[static_cast<std::size_t>(k)], ports,
-                field);
+            failures[static_cast<std::size_t>(k)] =
+                mismatch_failure(k, *anf, checker, field);
             return true;
         };
     };
@@ -186,7 +181,7 @@ std::optional<ProofFailure> prove_multiplier(const Netlist& nl,
     if (stats != nullptr) {
         *stats = {};
         stats->columns = m;
-        stats->spec_monomials = spec.total_monomials;
+        stats->spec_monomials = checker.total_monomials();
         for (int k = 0; k < m; ++k) {
             stats->netlist_monomials +=
                 column_monomials[static_cast<std::size_t>(k)];

@@ -18,8 +18,8 @@
 //      operand bits; and the column support of the pair (a_1, b_(m-1)) is
 //      literally the support of x^m mod f — i.e. f itself.
 //
-// The recovered f must pass the repo's irreducibility tooling, and the full
-// extracted ANF must match multiplier_spec(f) exactly, before success is
+// The recovered f must pass the repo's irreducibility tooling, and every
+// extracted column must pass ColumnChecker for f exactly, before success is
 // reported — a wrong guess can only ever yield a clean rejection.  The
 // identification in step 3 assumes x^s mod f hits no monomial for
 // m <= s <= 2m-2 (true whenever ord(x) > 2m-2, which holds for every
@@ -358,11 +358,10 @@ ReverseResult reverse_engineer(const Netlist& nl,
             nl.inputs()[static_cast<std::size_t>(spec.b_inputs[static_cast<std::size_t>(i)])]
                 .node;
     }
-    const SpecTable reference = multiplier_spec(f, a_nodes, b_nodes);
+    const ColumnChecker reference{f, a_nodes, b_nodes};
     for (int k = 0; k < m; ++k) {
         const int o = output_of_column[static_cast<std::size_t>(k)];
-        if (anf[static_cast<std::size_t>(o)] !=
-            reference.columns[static_cast<std::size_t>(k)]) {
+        if (!reference.matches(k, anf[static_cast<std::size_t>(o)])) {
             return reject("the extracted ANF does not match C = A*B mod " +
                           f.to_string());
         }

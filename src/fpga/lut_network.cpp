@@ -1,6 +1,7 @@
 #include "fpga/lut_network.h"
 
 #include "exec/program.h"
+#include "netlist/hdl_names.h"
 
 #include <algorithm>
 #include <stdexcept>
@@ -68,18 +69,9 @@ std::vector<std::uint64_t> LutNetwork::simulate(
 
 namespace {
 
-std::string sanitize(const std::string& name) {
-    std::string out;
-    for (const char c : name) {
-        const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9') || c == '_';
-        out += ok ? c : '_';
-    }
-    if (out.empty()) {
-        out = "p";
-    }
-    return out;
-}
+namespace hdl = netlist::detail;
+
+constexpr hdl::HdlDialect kVerilogLuts{"emit_verilog_luts", "Verilog", true, false};
 
 std::string hex64(std::uint64_t v) {
     static constexpr char kDigits[] = "0123456789abcdef";
@@ -93,13 +85,31 @@ std::string hex64(std::uint64_t v) {
 }  // namespace
 
 std::string emit_verilog_luts(const LutNetwork& net, const std::string& module_name) {
-    std::string out = "module " + sanitize(module_name) + " (\n";
-    for (const auto& name : net.input_names) {
-        out += "  input  wire " + sanitize(name) + ",\n";
+    // Every LUT i is emitted as wire lut<i> indexing localparam INIT<i>.
+    std::vector<std::string> output_names;
+    for (const auto& [name, ref] : net.outputs) {
+        output_names.push_back(name);
     }
-    for (std::size_t i = 0; i < net.outputs.size(); ++i) {
-        out += "  output wire " + sanitize(net.outputs[i].first);
-        out += (i + 1 < net.outputs.size()) ? ",\n" : "\n";
+    const auto ports = hdl::hdl_ports(
+        net.input_names, output_names,
+        [&](const std::string& key) -> std::string {
+            if (const auto i = hdl::hdl_generated_index(key, "lut"); i && *i < net.luts.size()) {
+                return "the wire of LUT " + std::to_string(*i);
+            }
+            if (const auto i = hdl::hdl_generated_index(key, "INIT"); i && *i < net.luts.size()) {
+                return "the INIT localparam of LUT " + std::to_string(*i);
+            }
+            return "";
+        },
+        kVerilogLuts);
+
+    std::string out = "module " + hdl::hdl_identifier(module_name, kVerilogLuts) + " (\n";
+    for (const auto& id : ports.inputs) {
+        out += "  input  wire " + id + ",\n";
+    }
+    for (std::size_t i = 0; i < ports.outputs.size(); ++i) {
+        out += "  output wire " + ports.outputs[i];
+        out += (i + 1 < ports.outputs.size()) ? ",\n" : "\n";
     }
     out += ");\n";
 
@@ -108,7 +118,7 @@ std::string emit_verilog_luts(const LutNetwork& net, const std::string& module_n
             return "1'b0";
         }
         if (ref < net.input_count()) {
-            return sanitize(net.input_names[static_cast<std::size_t>(ref)]);
+            return ports.inputs[static_cast<std::size_t>(ref)];
         }
         return "lut" + std::to_string(ref - net.input_count());
     };
@@ -127,8 +137,8 @@ std::string emit_verilog_luts(const LutNetwork& net, const std::string& module_n
         }
         out += "}];\n";
     }
-    for (const auto& [name, ref] : net.outputs) {
-        out += "  assign " + sanitize(name) + " = " + ref_name(ref) + ";\n";
+    for (std::size_t i = 0; i < net.outputs.size(); ++i) {
+        out += "  assign " + ports.outputs[i] + " = " + ref_name(net.outputs[i].second) + ";\n";
     }
     out += "endmodule\n";
     return out;

@@ -53,7 +53,10 @@ struct LutNetwork {
 };
 
 /// Verilog with one `assign` per LUT indexing a localparam INIT vector —
-/// the LUT-level netlist a bitstream flow would consume.
+/// the LUT-level netlist a bitstream flow would consume.  LUT i is wire
+/// lut<i> with localparam INIT<i>.  Throws std::invalid_argument, naming
+/// both sources, when two ports, or a port and one of those names, map to
+/// the same Verilog identifier.
 std::string emit_verilog_luts(const LutNetwork& net, const std::string& module_name);
 
 }  // namespace gfr::fpga

@@ -126,7 +126,9 @@ public:
         if (words.size() > cap_) {
             grow_discard(words.size());
         }
-        std::memmove(ptr_, words.data(), words.size() * sizeof(std::uint64_t));
+        if (!words.empty()) {  // an empty span's data() may be null
+            std::memmove(ptr_, words.data(), words.size() * sizeof(std::uint64_t));
+        }
         size_ = words.size();
     }
 

@@ -1,15 +1,21 @@
 #ifndef GFR_NETLIST_HDL_NAMES_H
 #define GFR_NETLIST_HDL_NAMES_H
 
-// Identifiers of the structural HDL emitters (emit_vhdl, emit_verilog; not
-// part of the public API).  Both name a port after its sanitised netlist
-// name and the wire of every other emitted node n<id>, so two ports, or a
-// port and a wire, can land on one identifier; hdl_ports() rejects that
-// before any text is written.
+// Identifiers of the HDL emitters (emit_vhdl, emit_verilog and
+// fpga::emit_verilog_luts; not part of the public API).  Each names a port
+// after its sanitised name and numbers what it generates itself (the wire
+// n<id> of every other emitted node; lut<i> and INIT<i> per LUT), so two
+// ports, or a port and a generated name, can land on one identifier;
+// hdl_ports() rejects that before any text is written.
 
 #include "netlist/netlist.h"
 
+#include <cstdint>
+#include <functional>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gfr::netlist::detail {
@@ -39,9 +45,25 @@ struct HdlPorts {
     std::vector<std::string> outputs;
 };
 
-/// The identifiers of nl's ports.  Throws std::invalid_argument, naming
-/// both sources, when two ports or a port and the hdl_wire of a reachable
-/// gate or constant map to the same identifier under the dialect.
+/// i when `key` is `prefix` followed by the decimal i without leading
+/// zeros, the way emitters number the names they generate.
+[[nodiscard]] std::optional<std::uint64_t> hdl_generated_index(const std::string& key,
+                                                               std::string_view prefix);
+
+/// The generated name a port identifier lands on, as an error message names
+/// it ("the wire of node 2"), or "" when it lands on none.  It receives the
+/// identifier as the dialect compares it (lower case when case-insensitive).
+using HdlGeneratedOwner = std::function<std::string(const std::string& key)>;
+
+/// The identifiers of the ports named `inputs` and `outputs`.  Throws
+/// std::invalid_argument, naming both sources, when two ports or a port and
+/// a generated name map to the same identifier under the dialect.
+[[nodiscard]] HdlPorts hdl_ports(std::span<const std::string> inputs,
+                                 std::span<const std::string> outputs,
+                                 const HdlGeneratedOwner& generated, const HdlDialect& dialect);
+
+/// hdl_ports for nl's ports, whose generated names are the hdl_wire of
+/// every reachable gate or constant.
 [[nodiscard]] HdlPorts hdl_ports(const Netlist& nl, const std::vector<bool>& reachable,
                                  const HdlDialect& dialect);
 

@@ -6,6 +6,7 @@
 #include "acv/acv.h"
 
 #include "field/field_catalog.h"
+#include "gf2/pentanomial.h"
 #include "multipliers/generator.h"
 #include "multipliers/verify.h"
 #include "netlist/simulate.h"
@@ -14,10 +15,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <iterator>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 namespace gfr::acv {
@@ -302,6 +307,155 @@ TEST(AcvProve, PinnedFailureFormat) {
     EXPECT_EQ(blowup.to_string(),
               "c0 algebraic blowup: 4194305 monomials in flight "
               "[repro: algebraic column=0 cap=4194304]");
+}
+
+using InputByName = std::function<netlist::NodeId(const std::string&)>;
+using WrongTerm = std::function<netlist::NodeId(netlist::Netlist&, const InputByName&)>;
+
+/// The date2018 multiplier over `fld` with column k rewritten to
+/// c_k + a_i*b_j + wrong, where a_i*b_j is one of column k's spec pairs: it
+/// cancels and `wrong` takes its place, so the column keeps exactly the
+/// spec's monomial count.
+netlist::Netlist one_wrong_monomial(const field::Field& fld, int k, int i, int j,
+                                    const WrongTerm& wrong) {
+    const auto good = mult::build_multiplier(mult::Method::Date2018Flat, fld);
+    const auto column = static_cast<std::size_t>(good.output_index("c" + std::to_string(k)));
+    return testutil::clone_netlist(
+        good, nullptr,
+        [&](std::size_t index, std::span<const netlist::NodeId> mapped, netlist::Netlist& dst) {
+            if (index != column) {
+                return mapped[index];
+            }
+            const InputByName input = [&dst](const std::string& name) {
+                return dst.inputs()[static_cast<std::size_t>(dst.input_index(name))].node;
+            };
+            const auto spec_pair =
+                dst.make_and(input("a" + std::to_string(i)), input("b" + std::to_string(j)));
+            return dst.make_xor(dst.make_xor(mapped[index], spec_pair), wrong(dst, input));
+        });
+}
+
+struct WrongMonomialCase {
+    int m = 0;
+    int n = 0;
+    int column = 0;
+    std::string_view wrong;  ///< "pair", "aa" or "single"
+    std::string_view failure;
+};
+
+// ProofFailure::to_string() of each case, recorded when the prover still
+// compared every column against a fully built, sorted spec.
+constexpr WrongMonomialCase kWrongMonomialCases[] = {
+    {8, 2, 3, "pair",
+     "c3 algebraic mismatch: residual=2 monomials, netlist=1 reference=0 for A=1, B=y^4 "
+     "[repro: algebraic column=3]"},
+    {8, 2, 3, "aa",
+     "c3 algebraic mismatch: residual=2 monomials, netlist=1 reference=0 for A=y^2 + y, "
+     "B=0 [repro: algebraic column=3]"},
+    {8, 2, 3, "single",
+     "c3 algebraic mismatch: residual=2 monomials, netlist=1 reference=0 for A=y, B=0 "
+     "[repro: algebraic column=3]"},
+    {64, 23, 30, "pair",
+     "c30 algebraic mismatch: residual=2 monomials, netlist=1 reference=0 for A=1, B=y^31 "
+     "[repro: algebraic column=30]"},
+    {64, 23, 30, "aa",
+     "c30 algebraic mismatch: residual=2 monomials, netlist=1 reference=0 for A=y^2 + y, "
+     "B=0 [repro: algebraic column=30]"},
+    {64, 23, 30, "single",
+     "c30 algebraic mismatch: residual=2 monomials, netlist=1 reference=0 for A=y, B=0 "
+     "[repro: algebraic column=30]"},
+};
+
+TEST(AcvProve, RejectsColumnWithSpecCountButOneWrongMonomial) {
+    // A column check by monomial count alone would accept these: column k
+    // trades its spec pair a_k*b_0 for a monomial outside the column, so it
+    // holds exactly as many monomials as the spec.  The wrong monomial
+    // sorts first in the residual, so the witness fires it.
+    for (const auto& c : kWrongMonomialCases) {
+        SCOPED_TRACE(std::to_string(c.m) + " " + std::string{c.wrong});
+        const field::Field fld = field::Field::type2(c.m, c.n);
+        const std::string next = "b" + std::to_string(c.column + 1);
+        const auto nl = one_wrong_monomial(
+            fld, c.column, c.column, 0, [&](netlist::Netlist& dst, const InputByName& input) {
+                if (c.wrong == "pair") {
+                    return dst.make_and(input("a0"), input(next));  // x^(k+1): column k+1
+                }
+                if (c.wrong == "aa") {
+                    return dst.make_and(input("a1"), input("a2"));
+                }
+                return input("a1");
+            });
+        const auto failure = prove_multiplier(nl, fld, {.threads = 1});
+        ASSERT_TRUE(failure.has_value());
+        EXPECT_EQ(failure->to_string(), c.failure);
+    }
+}
+
+TEST(AcvReverse, FinalColumnCheckRejectsAWrongPairTheRecoveryNeverReads) {
+    // Column 1 trades a_2*b_(m-1) (x^(m+1) mod f has bit 1) for
+    // a_3*b_(m-1) (x^(m+2) mod f has not).  Neither is a singleton pair, an
+    // (a_i, b_0) pair or the wrap pair (a_1, b_(m-1)), so the ports and f are
+    // still recovered and only the final check of every column rejects it.
+    for (const auto& [m, n, reason] :
+         {std::tuple{8, 2,
+                     "not a GF(2^m) multiplier: the extracted ANF does not match C = A*B mod "
+                     "y^8 + y^4 + y^3 + y^2 + 1"},
+          std::tuple{64, 23,
+                     "not a GF(2^m) multiplier: the extracted ANF does not match C = A*B mod "
+                     "y^64 + y^25 + y^24 + y^23 + 1"}}) {
+        const field::Field fld = field::Field::type2(m, n);
+        const std::string top = "b" + std::to_string(m - 1);
+        const auto nl = one_wrong_monomial(
+            fld, 1, 2, m - 1, [&](netlist::Netlist& dst, const InputByName& input) {
+                return dst.make_and(input("a3"), input(top));
+            });
+        const auto anon = anonymize_ports(nl, 5);
+        const auto result = reverse_engineer(anon.netlist);
+        EXPECT_FALSE(result.recovered);
+        EXPECT_EQ(result.reason, reason) << "(" << m << "," << n << ")";
+    }
+}
+
+TEST(AcvColumnChecker, ColumnsAreTheFieldProductsOfEveryTypeIIFieldUpTo16) {
+    // Column k holds a_i*b_j exactly when y^i * y^j has coefficient k.  The
+    // operand node ids interleave a and b, so bit order and id order differ.
+    int fields = 0;
+    for (int m = 2; m <= 16; ++m) {
+        for (const int n : gf2::type2_irreducible_ns(m)) {
+            SCOPED_TRACE("(" + std::to_string(m) + "," + std::to_string(n) + ")");
+            const field::Field fld = field::Field::type2(m, n);
+            std::vector<netlist::NodeId> a_nodes;
+            std::vector<netlist::NodeId> b_nodes;
+            for (int i = 0; i < m; ++i) {
+                a_nodes.push_back(static_cast<netlist::NodeId>(2 * (m - 1 - i) + 1));
+                b_nodes.push_back(static_cast<netlist::NodeId>(2 * i));
+            }
+            const ColumnChecker checker{fld.modulus(), a_nodes, b_nodes};
+            std::size_t total = 0;
+            for (int k = 0; k < m; ++k) {
+                std::vector<Monomial> want;
+                for (int i = 0; i < m; ++i) {
+                    for (int j = 0; j < m; ++j) {
+                        if (fld.mul(gf2::Poly::monomial(i), gf2::Poly::monomial(j)).coeff(k)) {
+                            want.push_back(Monomial::pair(a_nodes[static_cast<std::size_t>(i)],
+                                                          b_nodes[static_cast<std::size_t>(j)]));
+                        }
+                    }
+                }
+                std::sort(want.begin(), want.end());
+                EXPECT_EQ(checker.column(k), want) << "column " << k;
+                EXPECT_TRUE(checker.matches(k, want)) << "column " << k;
+                if (!want.empty()) {  // a proper subset is short of the count
+                    EXPECT_FALSE(checker.matches(k, {want.data(), want.size() - 1}))
+                        << "column " << k;
+                }
+                total += want.size();
+            }
+            EXPECT_EQ(checker.total_monomials(), total);
+            ++fields;
+        }
+    }
+    EXPECT_GT(fields, 0);
 }
 
 TEST(AcvProve, BlowupCapIsARejectionNeverAnAcceptance) {

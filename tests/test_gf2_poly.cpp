@@ -52,6 +52,20 @@ TEST(Gf2Poly, FromWordsNormalises) {
     EXPECT_EQ(p.words().size(), 1U);
 }
 
+TEST(Gf2Poly, EmptyWordsAreZero) {
+    // An empty span's data() is null: assigning one must not hand it to
+    // memmove (checked under -fsanitize=undefined).
+    Poly p = Poly::from_exponents({70, 3});
+    p.assign_words(std::span<const std::uint64_t>{});
+    EXPECT_TRUE(p.is_zero());
+    EXPECT_EQ(p.degree(), -1);
+    EXPECT_TRUE(p.words().empty());
+
+    const Poly q = Poly::from_words({});
+    EXPECT_TRUE(q.is_zero());
+    EXPECT_EQ(q, Poly{});
+}
+
 TEST(Gf2Poly, PaperModulusToString) {
     const Poly f = Poly::from_exponents({8, 4, 3, 2, 0});
     EXPECT_EQ(f.to_string(), "y^8 + y^4 + y^3 + y^2 + 1");

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -140,6 +141,63 @@ TEST(LutNetwork, EmitVerilogLuts) {
     EXPECT_NE(text.find("assign z = lut1;"), std::string::npos);
     // Truth table 0x6 rendered as 64-bit hex.
     EXPECT_NE(text.find("64'h0000000000000006"), std::string::npos);
+}
+
+/// The std::invalid_argument message emit_verilog_luts throws, or "" when
+/// it returns.
+std::string emit_error(const LutNetwork& net) {
+    try {
+        static_cast<void>(emit_verilog_luts(net, "m"));
+    } catch (const std::invalid_argument& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(LutNetwork, EmitVerilogLutsRejectsPortsThatSanitizeToOneIdentifier) {
+    auto net = two_lut_network();
+    net.input_names = {"a[0]", "a_0_", "c"};
+    EXPECT_EQ(emit_error(net),
+              "emit_verilog_luts: input 'a[0]' and input 'a_0_' map to the same Verilog "
+              "identifier 'a_0_'");
+
+    net = two_lut_network();
+    net.outputs = {{"y", 3}, {"c", 4}};
+    EXPECT_EQ(emit_error(net),
+              "emit_verilog_luts: input 'c' and output 'c' map to the same Verilog "
+              "identifier 'c'");
+}
+
+TEST(LutNetwork, EmitVerilogLutsRejectsPortNamedLikeALutWireOrInit) {
+    auto net = two_lut_network();
+    net.input_names = {"a", "lut1", "c"};
+    EXPECT_EQ(emit_error(net),
+              "emit_verilog_luts: input 'lut1' and the wire of LUT 1 map to the same "
+              "Verilog identifier 'lut1'");
+
+    net = two_lut_network();
+    net.outputs = {{"INIT0", 3}, {"z", 4}};
+    EXPECT_EQ(emit_error(net),
+              "emit_verilog_luts: output 'INIT0' and the INIT localparam of LUT 0 map to "
+              "the same Verilog identifier 'INIT0'");
+
+    // Names the emitter does not generate stay legal: past the LUT count,
+    // with a leading zero, or in another case (Verilog compares with case).
+    net = two_lut_network();
+    net.input_names = {"lut2", "lut01", "LUT0"};
+    net.outputs = {{"INIT2", 3}, {"init1", 4}};
+    EXPECT_EQ(emit_error(net), "");
+}
+
+TEST(LutNetwork, EmitVerilogLutsPrefixesIdentifiersThatStartWithADigit) {
+    auto net = two_lut_network();
+    net.input_names = {"0a", "b", "_c"};
+    const auto text = emit_verilog_luts(net, "9m");
+    EXPECT_NE(text.find("module p9m ("), std::string::npos);
+    EXPECT_NE(text.find("input  wire p0a,"), std::string::npos);
+    EXPECT_NE(text.find("input  wire _c,"), std::string::npos);
+    EXPECT_NE(text.find("assign lut0 = INIT0[{b, p0a}];"), std::string::npos);
+    EXPECT_NE(text.find("assign lut1 = INIT1[{_c, lut0}];"), std::string::npos);
 }
 
 TEST(LutNetwork, CompiledSimulateMatchesPerLaneReferenceOnRandomNetworks) {
