@@ -1,7 +1,6 @@
 #include "fpga/flow.h"
 
 #include <utility>
-#include <vector>
 
 namespace gfr::fpga {
 
@@ -47,32 +46,39 @@ FlowResult run_flow(const netlist::Netlist& nl, const FlowOptions& options) {
     if (!options.strategy_search) {
         return map_and_measure(netlist::synthesize(nl, options.synth), options);
     }
-    // Strategy search: the synthesiser is free, so it evaluates several
-    // restructurings and keeps whichever maps best.
-    const std::vector<netlist::SynthOptions> strategies = {
-        {.flatten_anf = false, .group_cones = false, .extract_pairs = false,
-         .balance = false},  // as-given
-        {.flatten_anf = false, .group_cones = false, .extract_pairs = false,
-         .balance = true},   // depth-aware balance
-        {.flatten_anf = false, .group_cones = false, .extract_pairs = true,
-         .balance = true},   // pair CSE + balance
-        {.flatten_anf = false, .group_cones = true, .extract_pairs = false,
-         .balance = true},   // signature grouping, LUT-aware trees
-        {.flatten_anf = true, .group_cones = false, .extract_pairs = false,
-         .balance = true},   // per-output flat ANF, LUT-aware trees
-        {.flatten_anf = false, .group_cones = true, .extract_pairs = true,
-         .cse_min_count = 3, .balance = true},  // grouping + strongly-shared pairs
-    };
+    // Strategy search: the synthesiser is free, so it evaluates six
+    // restructurings and keeps whichever maps best, the lowest A x T and on
+    // a tie the lowest index in FlowOptions::strategy_search's list:
+    //   0 as-given, 1 balance, 2 pair CSE + balance, 3 signature grouping,
+    //   4 flat ANF, 5 grouping + pairs shared by >= 3 sums.
+    // Each is what netlist::synthesize builds for it, but the prefixes are
+    // shared: dce runs once and grouping once (for 3 and 5).  Flat ANF is
+    // evaluated last, after the dce'd netlist, its last user, is freed, so
+    // no other netlist is alive while the largest one maps.
     FlowResult best;
-    bool first = true;
-    for (const auto& synth : strategies) {
-        FlowResult candidate =
-            map_and_measure(netlist::synthesize(nl, synth), options);
-        if (first || candidate.area_time < best.area_time) {
+    int best_index = -1;
+    const auto consider = [&](int index, const netlist::Netlist& prepared) {
+        FlowResult candidate = map_and_measure(prepared, options);
+        if (best_index < 0 || candidate.area_time < best.area_time ||
+            (candidate.area_time == best.area_time && index < best_index)) {
             best = std::move(candidate);
-            first = false;
+            best_index = index;
         }
+    };
+    netlist::Netlist cleaned = netlist::dce(nl);
+    consider(0, cleaned);
+    consider(1, netlist::balance_xor_trees(cleaned));
+    consider(2, netlist::balance_xor_trees(netlist::extract_common_xor_pairs(cleaned, 2)));
+    {
+        netlist::Netlist grouped = netlist::group_common_cones(cleaned);
+        consider(3, grouped);
+        const netlist::Netlist strong_pairs = netlist::extract_common_xor_pairs(grouped, 3);
+        grouped = {};
+        consider(5, strong_pairs);
     }
+    const netlist::Netlist flat = netlist::flatten_to_anf(cleaned);
+    cleaned = {};
+    consider(4, flat);
     return best;
 }
 

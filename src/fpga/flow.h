@@ -22,13 +22,13 @@ namespace gfr::fpga {
 
 struct FlowOptions {
     bool synthesis_freedom = false;  ///< run netlist::synthesize before mapping
-    /// With synthesis freedom, try six restructurings in order — as-given,
+    /// With synthesis freedom, try six restructurings — as-given,
     /// depth-aware balance, pair CSE + balance, signature grouping (LUT-aware
     /// trees), per-output flat ANF (LUT-aware trees, no CSE), and signature
-    /// grouping + pairs shared by >= 3 sums — and keep the first mapping with
-    /// the lowest A x T: the way a synthesis tool explores strategies when
-    /// the source does not pin the structure down.  Disable to force exactly
-    /// the `synth` pipeline.
+    /// grouping + pairs shared by >= 3 sums — and keep the mapping with the
+    /// lowest A x T, the first in this list on a tie: the way a synthesis
+    /// tool explores strategies when the source does not pin the structure
+    /// down.  Disable to force exactly the `synth` pipeline.
     bool strategy_search = true;
     netlist::SynthOptions synth{};
     /// Run the campaign-gated optimization pipeline (opt::optimize) on the

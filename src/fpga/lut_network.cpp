@@ -71,7 +71,7 @@ namespace {
 
 namespace hdl = netlist::detail;
 
-constexpr hdl::HdlDialect kVerilogLuts{"emit_verilog_luts", "Verilog", true, false};
+constexpr hdl::HdlDialect kVerilogLuts{"emit_verilog_luts", false};
 
 std::string hex64(std::uint64_t v) {
     static constexpr char kDigits[] = "0123456789abcdef";

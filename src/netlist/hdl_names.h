@@ -22,19 +22,28 @@ namespace gfr::netlist::detail {
 
 /// How one HDL spells identifiers, and how its emitter reports errors.
 struct HdlDialect {
-    const char* emitter;      ///< error-message prefix
-    const char* language;     ///< "VHDL" / "Verilog"
-    bool leading_underscore;  ///< an identifier may start with '_'
-    bool case_insensitive;    ///< identifiers compare without case
+    const char* emitter;  ///< error-message prefix
+    /// VHDL's rules, else Verilog's (IEEE 1364-2005).  A VHDL basic
+    /// identifier is a letter followed by letters and digits, each
+    /// underscore between two of them, and compares without case; a Verilog
+    /// identifier may also start with '_' and repeat or end in underscores,
+    /// and compares with case.
+    bool vhdl;
 };
 
-inline constexpr HdlDialect kVhdl{"emit_vhdl", "VHDL", false, true};
-inline constexpr HdlDialect kVerilog{"emit_verilog", "Verilog", true, false};
+inline constexpr HdlDialect kVhdl{"emit_vhdl", true};
+inline constexpr HdlDialect kVerilog{"emit_verilog", false};
 
-/// `name` with every character outside [A-Za-z0-9_] replaced by '_', and a
-/// 'p' prepended when it does not start with a letter (or, where the
-/// dialect allows it, '_').
+/// A legal identifier of the dialect for `name`: every character outside
+/// [A-Za-z0-9_] becomes '_' (in VHDL, runs of underscores then shrink to
+/// one and a trailing one is dropped), and a 'p' is prepended when the
+/// result does not start as the dialect requires or is one of its reserved
+/// words ("in" -> "pin"; in VHDL "End" -> "pEnd" too).  A legal name that is
+/// no reserved word comes back unchanged.
 [[nodiscard]] std::string hdl_identifier(const std::string& name, const HdlDialect& dialect);
+
+/// `s` in lower case, the form in which VHDL compares names and keywords.
+[[nodiscard]] std::string lowercase(std::string s);
 
 /// The wire of an emitted gate or constant.
 [[nodiscard]] inline std::string hdl_wire(NodeId id) { return "n" + std::to_string(id); }
@@ -52,7 +61,7 @@ struct HdlPorts {
 
 /// The generated name a port identifier lands on, as an error message names
 /// it ("the wire of node 2"), or "" when it lands on none.  It receives the
-/// identifier as the dialect compares it (lower case when case-insensitive).
+/// identifier as the dialect compares it (lower case in VHDL).
 using HdlGeneratedOwner = std::function<std::string(const std::string& key)>;
 
 /// The identifiers of the ports named `inputs` and `outputs`.  Throws

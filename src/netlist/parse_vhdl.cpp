@@ -1,5 +1,7 @@
 #include "netlist/parse_vhdl.h"
 
+#include "netlist/hdl_names.h"
+
 #include <cctype>
 #include <stdexcept>
 #include <string>
@@ -8,6 +10,8 @@
 #include <vector>
 
 namespace gfr::netlist {
+
+using detail::lowercase;
 
 namespace {
 
@@ -53,15 +57,16 @@ std::vector<std::string> tokens(const std::string& s) {
 
 Netlist parse_vhdl(const std::string& text) {
     Netlist nl;
-    // name -> driving node.  Inputs land here at declaration, everything else
-    // at its (single) assignment; emit_vhdl orders gates by id, so operands
-    // are always defined before use.
+    // name -> driving node, keyed by the lower-case name.  Inputs land here
+    // at declaration, everything else at its (single) assignment; emit_vhdl
+    // orders gates by id, so operands are always defined before use.
     std::unordered_map<std::string, NodeId> driver;
-    std::vector<std::string> output_names;  // declaration order
-    std::unordered_set<std::string> output_set;
+    std::vector<std::string> output_names;  // declaration order and spelling
+    std::unordered_set<std::string> input_set;   // lower case
+    std::unordered_set<std::string> output_set;  // lower case
 
     const auto lookup = [&](const std::string& name, int line) -> NodeId {
-        const auto it = driver.find(name);
+        const auto it = driver.find(lowercase(name));
         if (it == driver.end()) {
             fail(line, "undefined signal '" + name + "'");
         }
@@ -93,7 +98,7 @@ Netlist parse_vhdl(const std::string& text) {
             if (lhs.empty() || tokens(lhs).size() != 1) {
                 fail(line_no, "malformed assignment target");
             }
-            if (driver.count(lhs) != 0) {
+            if (driver.count(lowercase(lhs)) != 0) {
                 fail(line_no, "signal '" + lhs + "' driven twice");
             }
             const std::vector<std::string> rt = tokens(rhs);
@@ -102,17 +107,17 @@ Netlist parse_vhdl(const std::string& text) {
                 node = nl.const0();
             } else if (rt.size() == 1) {
                 node = lookup(rt[0], line_no);
-            } else if (rt.size() == 3 && rt[1] == "and") {
+            } else if (rt.size() == 3 && lowercase(rt[1]) == "and") {
                 node = nl.make_and_fresh(lookup(rt[0], line_no),
                                          lookup(rt[2], line_no));
-            } else if (rt.size() == 3 && rt[1] == "xor") {
+            } else if (rt.size() == 3 && lowercase(rt[1]) == "xor") {
                 node = nl.make_xor_fresh(lookup(rt[0], line_no),
                                          lookup(rt[2], line_no));
             } else {
                 fail(line_no, "unsupported expression '" + rhs +
                                   "' (expected and/xor/'0'/copy)");
             }
-            driver.emplace(lhs, node);
+            driver.emplace(lowercase(lhs), node);
             continue;
         }
 
@@ -124,14 +129,18 @@ Netlist parse_vhdl(const std::string& text) {
                 continue;  // not a port/signal declaration (e.g. "end ...;")
             }
             const std::string& name = before[0];
-            // A name is one port: declared once, as `in` or as `out`.
-            if (after[0] == "in") {
-                if (driver.count(name) != 0 || output_set.count(name) != 0) {
+            const std::string key = lowercase(name);
+            const std::string mode = lowercase(after[0]);
+            // A name is one port, in any spelling: declared once, as `in` or
+            // as `out`.
+            if (mode == "in") {
+                if (driver.count(key) != 0 || output_set.count(key) != 0) {
                     fail(line_no, "duplicate declaration of '" + name + "'");
                 }
-                driver.emplace(name, nl.add_input(name));
-            } else if (after[0] == "out") {
-                if (nl.input_index(name) >= 0 || !output_set.insert(name).second) {
+                input_set.insert(key);
+                driver.emplace(key, nl.add_input(name));
+            } else if (mode == "out") {
+                if (input_set.count(key) != 0 || !output_set.insert(key).second) {
                     fail(line_no, "duplicate declaration of '" + name + "'");
                 }
                 output_names.push_back(name);
@@ -146,7 +155,7 @@ Netlist parse_vhdl(const std::string& text) {
         fail(line_no, "no output ports declared");
     }
     for (const std::string& name : output_names) {
-        const auto it = driver.find(name);
+        const auto it = driver.find(lowercase(name));
         if (it == driver.end()) {
             fail(line_no, "output '" + name + "' has no driver");
         }

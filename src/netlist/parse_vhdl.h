@@ -15,8 +15,10 @@ namespace gfr::netlist {
 /// Parse the structural subset emit_vhdl() produces (and hand-written
 /// equivalents): `in`/`out` std_logic port declarations plus concurrent
 /// assignments of the forms `s <= a and b;`, `s <= a xor b;`, `s <= '0';`
-/// and `s <= a;`.  Declaration order of the ports is preserved.  Anything
-/// outside that subset — or a malformed/incomplete design — throws
+/// and `s <= a;`.  Declaration order of the ports is preserved.  Names and
+/// keywords compare without case, as in VHDL; a port keeps the spelling of
+/// its declaration, and a second declaration in any spelling is rejected.
+/// Anything outside that subset — or a malformed/incomplete design — throws
 /// std::invalid_argument with the offending line number.
 Netlist parse_vhdl(const std::string& text);
 

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
 #include <queue>
@@ -229,6 +230,13 @@ struct WireSet {
 /// NodeId, grown with it and shared by every build() call on one netlist.
 /// A chunk root's entries are assigned (overwriting any earlier value);
 /// every other entry is computed from its fanins the first time it is read.
+///
+/// Only an item that shares a wire with the chunk can overlap it, so each
+/// wire lists the items whose support holds it, and an absorb step visits
+/// just those.  When none of them fits, the pick is the first item in
+/// (level, seq) order whose support fits the room left: the least top of
+/// the min-heaps for support sizes up to that room.  A sum of L leaves
+/// costs O(L log L) plus the items met through the chunk's wires.
 class LutAwareXorBuilder {
 public:
     explicit LutAwareXorBuilder(Netlist& nl) : nl_{&nl} {}
@@ -238,69 +246,59 @@ public:
             return nl_->const0();
         }
         grow();
-        // Kept sorted by (lut level, insertion order); each item carries its
-        // support, computed once as it enters.
+        // Items are ordered by (lut level, seq), seq being the insertion
+        // order (the item's index); each carries its support, computed once
+        // as it enters.
         items_.clear();
-        int seq = 0;
         for (const NodeId leaf : leaves) {
             const int level = level_of(leaf);
-            items_.push_back(Item{level, seq++, leaf, false, effective_support(leaf)});
+            add_item(level, leaf, effective_support(leaf));
         }
-        std::sort(items_.begin(), items_.end(), [](const Item& x, const Item& y) {
-            return std::tie(x.level, x.seq) < std::tie(y.level, y.seq);
-        });
-        while (items_.size() > 1) {
+        while (live_ > 1) {
             // Seed the chunk with the shallowest item, then repeatedly absorb
-            // the remaining item sharing the most wires with the chunk (e.g.
-            // several partial products over the same few a/b wires land in
-            // one LUT), while the union support fits.  Ties go to the lowest
-            // index.
-            Item& seed = items_[0];
-            seed.taken = true;
-            chunk_.assign(1, seed.node);
-            WireSet support = seed.support;
-            int chunk_level = seed.level;
+            // the item sharing the most wires with the chunk (e.g. several
+            // partial products over the same few a/b wires land in one LUT),
+            // while the union support fits.  Ties go to the lowest
+            // (level, seq).
+            const std::uint32_t seed = first_fitting(WireSet::kMax);
+            take(seed);
+            chunk_.assign(1, items_[seed].node);
+            WireSet support = items_[seed].support;
+            int chunk_level = items_[seed].level;
+            for (std::uint8_t k = 0; k < support.size; ++k) {
+                count_wire(support.ids[k]);
+            }
             while (support.size < WireSet::kMax) {
-                std::size_t best = 0;
-                int best_overlap = -1;
-                WireSet best_merged;
-                WireSet merged;
-                for (std::size_t i = 1; i < items_.size(); ++i) {
-                    const Item& item = items_[i];
-                    if (item.taken ||
-                        // Disjoint signatures mean overlap 0, which cannot
-                        // beat an item that already fits.
-                        (best_overlap >= 0 &&
-                         (support.signature & item.support.signature) == 0) ||
-                        !WireSet::merge(support, item.support, merged)) {
-                        continue;
-                    }
-                    const int overlap = support.size + item.support.size - merged.size;
-                    if (overlap > best_overlap) {
-                        best_overlap = overlap;
-                        best = i;
-                        best_merged = merged;
-                        if (overlap == support.size) {
-                            break;  // a full overlap cannot be beaten
-                        }
-                    }
-                }
-                if (best == 0) {
+                const std::uint32_t best = best_fitting(support);
+                if (best == kNone) {
                     break;  // nothing else fits
                 }
-                items_[best].taken = true;
-                support = best_merged;
+                const WireSet before = support;
+                WireSet::merge(before, items_[best].support, support);
+                take(best);
                 chunk_.push_back(items_[best].node);
                 chunk_level = std::max(chunk_level, items_[best].level);
+                const WireSet& added = items_[best].support;
+                for (std::uint8_t k = 0; k < added.size; ++k) {
+                    if (!std::binary_search(before.ids.begin(), before.ids.begin() + before.size,
+                                            added.ids[k])) {
+                        count_wire(added.ids[k]);
+                    }
+                }
             }
+            for (const std::uint32_t i : touched_) {
+                items_[i].overlap = 0;
+            }
+            touched_.clear();
             NodeId root = kInvalidNode;
             int root_level = 0;
             if (chunk_.size() == 1) {
                 // Nothing fits beside it (an already-wide wire): pair the two
                 // shallowest wires instead so the loop always progresses.
-                root = nl_->make_xor(items_[0].node, items_[1].node);
-                root_level = std::max(items_[0].level, items_[1].level) + 1;
-                items_[1].taken = true;
+                const std::uint32_t next = first_fitting(WireSet::kMax);
+                take(next);
+                root = nl_->make_xor(items_[seed].node, items_[next].node);
+                root_level = std::max(items_[seed].level, items_[next].level) + 1;
                 grow();
             } else {
                 root = nl_->make_xor_tree(chunk_, TreeShape::Balanced);
@@ -309,32 +307,130 @@ public:
                 support_[root] = support;  // chunk root cone fits one LUT
             }
             level_[root] = root_level;
-            // Drop the consumed items, then insert the new root where a sort
-            // by (level, seq) would put it: its seq is the largest so far.
-            std::erase_if(items_, [](const Item& item) { return item.taken; });
-            const auto pos = std::upper_bound(
-                items_.begin(), items_.end(), root_level,
-                [](int level, const Item& item) { return level < item.level; });
-            items_.insert(pos, Item{root_level, seq++, root, false, effective_support(root)});
+            add_item(root_level, root, effective_support(root));
         }
-        return items_[0].node;
+        const NodeId result = items_[first_fitting(WireSet::kMax)].node;
+        for (const Item& item : items_) {
+            for (std::uint8_t k = 0; k < item.support.size; ++k) {
+                wire_head_[item.support.ids[k]] = kNone;
+            }
+        }
+        entries_.clear();
+        for (auto& heap : heaps_) {
+            heap.clear();
+        }
+        live_ = 0;
+        return result;
     }
 
 private:
     struct Item {
         int level = 0;
-        int seq = 0;
         NodeId node = kInvalidNode;
-        bool taken = false;
+        bool live = true;
+        std::uint8_t overlap = 0;  ///< wires shared with the current chunk
         WireSet support;
     };
 
+    /// One item on one wire's list: the lists are singly linked through
+    /// entries_, and an entry of a taken item is unlinked when next walked.
+    struct Entry {
+        std::uint32_t item = 0;
+        std::uint32_t next = 0;
+    };
+
     static constexpr int kUnknownLevel = -1;
+    static constexpr std::uint32_t kNone = 0xFFFFFFFFU;
+
+    /// (level, seq) as one integer: its order is the items' order.
+    [[nodiscard]] std::uint64_t order_key(std::uint32_t i) const {
+        return (static_cast<std::uint64_t>(items_[i].level) << 32U) | i;
+    }
 
     /// Extends the per-node tables to the netlist's current size.
     void grow() {
         support_.resize(nl_->node_count());
         level_.resize(nl_->node_count(), kUnknownLevel);
+        wire_head_.resize(nl_->node_count(), kNone);
+    }
+
+    void add_item(int level, NodeId node, const WireSet& support) {
+        const auto i = static_cast<std::uint32_t>(items_.size());
+        items_.push_back(Item{level, node, true, 0, support});
+        ++live_;
+        auto& heap = heaps_[support.size];
+        heap.push_back(order_key(i));
+        std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+        for (std::uint8_t k = 0; k < support.size; ++k) {
+            std::uint32_t& head = wire_head_[support.ids[k]];
+            entries_.push_back(Entry{i, head});
+            head = static_cast<std::uint32_t>(entries_.size() - 1);
+        }
+    }
+
+    void take(std::uint32_t i) {
+        items_[i].live = false;
+        --live_;
+    }
+
+    /// Adds one to the overlap of every live item on `wire`'s list.
+    void count_wire(NodeId wire) {
+        std::uint32_t* link = &wire_head_[wire];
+        while (*link != kNone) {
+            Entry& entry = entries_[*link];
+            Item& item = items_[entry.item];
+            if (!item.live) {
+                *link = entry.next;
+                continue;
+            }
+            if (item.overlap++ == 0) {
+                touched_.push_back(entry.item);
+            }
+            link = &entry.next;
+        }
+    }
+
+    /// The fitting item with the largest overlap with `support`, the lowest
+    /// (level, seq) on ties; kNone when nothing fits.
+    std::uint32_t best_fitting(const WireSet& support) {
+        std::uint32_t best = kNone;
+        int best_overlap = 0;
+        for (const std::uint32_t i : touched_) {
+            const Item& item = items_[i];
+            if (!item.live || support.size + item.support.size - item.overlap > WireSet::kMax) {
+                continue;
+            }
+            if (best == kNone || item.overlap > best_overlap ||
+                (item.overlap == best_overlap && order_key(i) < order_key(best))) {
+                best = i;
+                best_overlap = item.overlap;
+            }
+        }
+        if (best != kNone) {
+            return best;
+        }
+        // No item sharing a wire fits, so the pick has overlap 0: any item
+        // whose support fits the room left, and such an item shares no wire.
+        return first_fitting(WireSet::kMax - support.size);
+    }
+
+    /// The first live item in (level, seq) order with at most `room` wires,
+    /// or kNone.
+    std::uint32_t first_fitting(int room) {
+        std::uint64_t first = std::numeric_limits<std::uint64_t>::max();
+        for (int size = 0; size <= room; ++size) {
+            auto& heap = heaps_[static_cast<std::size_t>(size)];
+            while (!heap.empty() && !items_[static_cast<std::uint32_t>(heap.front())].live) {
+                std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+                heap.pop_back();
+            }
+            if (!heap.empty()) {
+                first = std::min(first, heap.front());
+            }
+        }
+        return first == std::numeric_limits<std::uint64_t>::max()
+                   ? kNone
+                   : static_cast<std::uint32_t>(first);
     }
 
     /// Input wires a cone needs if absorbed into a LUT; {self} when the cone
@@ -384,7 +480,14 @@ private:
     Netlist* nl_;
     std::vector<WireSet> support_;
     std::vector<int> level_;
-    std::vector<Item> items_;   // build() scratch, reused across calls
+    std::vector<std::uint32_t> wire_head_;  ///< per node: its first Entry, or kNone
+    // build() scratch, reused across calls.
+    std::vector<Item> items_;
+    std::uint32_t live_ = 0;
+    std::vector<Entry> entries_;
+    /// Min-heaps of order_key, one per support size.
+    std::array<std::vector<std::uint64_t>, WireSet::kMax + 1> heaps_;
+    std::vector<std::uint32_t> touched_;  ///< items whose overlap is nonzero
     std::vector<NodeId> chunk_;
 };
 

@@ -24,6 +24,13 @@
 //
 // All passes are pure: they return a new netlist and never mutate the input.
 // Every pass preserves functional equivalence (asserted by the test suite).
+//
+// flatten_to_anf and group_common_cones rebuild each sum with a LUT-aware
+// tree builder that packs items into 6-input chunks, each step absorbing the
+// item sharing the most wires with the chunk.  It reaches those items
+// through per-wire lists, so a sum of L leaves costs O(L log L) plus the
+// items met on the chunk's wires; flat ANF at m = 409 sums about 1,000
+// leaves per output.
 
 #include "netlist/netlist.h"
 

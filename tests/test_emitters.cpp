@@ -100,6 +100,28 @@ TEST(EmitVerilog, OneAssignPerReachableGate) {
     EXPECT_EQ(count, 5U);
 }
 
+TEST(EmitVhdl, SanitisesToBasicIdentifiers) {
+    // A VHDL basic identifier has no leading, doubled or trailing
+    // underscore; Verilog allows all three.
+    Netlist nl;
+    NodeId acc = kInvalidNode;
+    for (const char* name : {"b[1]", "x__y", "_q", "z_", "[0]", "a.b[2][3]"}) {
+        const NodeId in = nl.add_input(name);
+        acc = acc == kInvalidNode ? in : nl.make_xor(acc, in);
+    }
+    nl.add_output("y", acc);
+    const auto vhdl = emit_vhdl(nl, "m");
+    for (const char* id : {"b_1", "x_y", "p_q", "z", "p_0", "a_b_2_3"}) {
+        EXPECT_NE(vhdl.find("    " + std::string{id} + " : in  std_logic;"), std::string::npos)
+            << id;
+    }
+    const auto verilog = emit_verilog(nl, "m");
+    for (const char* id : {"b_1_", "x__y", "_q", "z_", "_0_", "a_b_2__3_"}) {
+        EXPECT_NE(verilog.find("  input  wire " + std::string{id} + ","), std::string::npos)
+            << id;
+    }
+}
+
 // --- Identifier collisions (both emitters) ---------------------------------
 
 TEST(EmitHdl, RejectsPortsThatSanitizeToOneIdentifier) {
@@ -109,7 +131,7 @@ TEST(EmitHdl, RejectsPortsThatSanitizeToOneIdentifier) {
     nl.add_output("y", nl.make_xor(a, b));
     EXPECT_EQ(emit_error([&] { return emit_vhdl(nl, "m"); }),
               "emit_vhdl: input 'a[0]' and input 'a_0_' map to the same VHDL "
-              "identifier 'a_0_'");
+              "identifier 'a_0'");
     EXPECT_EQ(emit_error([&] { return emit_verilog(nl, "m"); }),
               "emit_verilog: input 'a[0]' and input 'a_0_' map to the same Verilog "
               "identifier 'a_0_'");
@@ -157,6 +179,49 @@ TEST(EmitHdl, VhdlComparesIdentifiersWithoutCase) {
               "emit_vhdl: output 'N2' and the wire of node 2 map to the same VHDL "
               "identifier 'N2'");
     EXPECT_EQ(emit_error([&] { return emit_verilog(wire, "m"); }), "");
+}
+
+TEST(EmitHdl, PrefixesReservedWords) {
+    // A name that is a reserved word of the dialect gets a 'p' (in VHDL in
+    // any case); in the other dialect it may be a plain identifier.
+    Netlist nl;
+    NodeId acc = kInvalidNode;
+    for (const char* name : {"in", "and", "wire", "module", "End"}) {
+        const NodeId in = nl.add_input(name);
+        acc = acc == kInvalidNode ? in : nl.make_xor(acc, in);
+    }
+    nl.add_output("out", acc);
+    const auto vhdl = emit_vhdl(nl, "entity");
+    EXPECT_NE(vhdl.find("entity pentity is"), std::string::npos);
+    for (const char* id : {"pin", "pand", "wire", "module", "pEnd"}) {
+        EXPECT_NE(vhdl.find("    " + std::string{id} + " : in  std_logic;"), std::string::npos)
+            << id;
+    }
+    EXPECT_NE(vhdl.find("    pout : out std_logic"), std::string::npos);
+    EXPECT_NE(vhdl.find(" <= pin xor pand;"), std::string::npos);
+    const auto verilog = emit_verilog(nl, "module");
+    EXPECT_NE(verilog.find("module pmodule ("), std::string::npos);
+    for (const char* id : {"in", "pand", "pwire", "pmodule", "End"}) {
+        EXPECT_NE(verilog.find("  input  wire " + std::string{id} + ","), std::string::npos)
+            << id;
+    }
+    EXPECT_NE(verilog.find("  output wire out\n"), std::string::npos);
+    EXPECT_NE(verilog.find(" = in ^ pand;"), std::string::npos);
+}
+
+TEST(EmitHdl, RejectsReservedWordRewrittenOntoAPort) {
+    // The collision check sees the rewritten identifier.
+    Netlist nl;
+    const auto in = nl.add_input("in");
+    const auto pin = nl.add_input("PIN");
+    const auto wire = nl.add_input("wire");
+    const auto pwire = nl.add_input("pwire");
+    nl.add_output("y", nl.make_xor(nl.make_xor(in, pin), nl.make_xor(wire, pwire)));
+    EXPECT_EQ(emit_error([&] { return emit_vhdl(nl, "m"); }),
+              "emit_vhdl: input 'in' and input 'PIN' map to the same VHDL identifier 'PIN'");
+    EXPECT_EQ(emit_error([&] { return emit_verilog(nl, "m"); }),
+              "emit_verilog: input 'wire' and input 'pwire' map to the same Verilog "
+              "identifier 'pwire'");
 }
 
 }  // namespace

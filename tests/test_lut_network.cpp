@@ -200,6 +200,24 @@ TEST(LutNetwork, EmitVerilogLutsPrefixesIdentifiersThatStartWithADigit) {
     EXPECT_NE(text.find("assign lut1 = INIT1[{_c, lut0}];"), std::string::npos);
 }
 
+TEST(LutNetwork, EmitVerilogLutsPrefixesReservedWords) {
+    auto net = two_lut_network();
+    net.input_names = {"wire", "b", "in"};
+    net.outputs = {{"output", 3}, {"z", 4}};
+    const auto text = emit_verilog_luts(net, "endmodule");
+    EXPECT_NE(text.find("module pendmodule ("), std::string::npos);
+    EXPECT_NE(text.find("input  wire pwire,"), std::string::npos);
+    EXPECT_NE(text.find("input  wire in,"), std::string::npos);  // no Verilog keyword
+    EXPECT_NE(text.find("output wire poutput,"), std::string::npos);
+    EXPECT_NE(text.find("assign lut0 = INIT0[{b, pwire}];"), std::string::npos);
+    EXPECT_NE(text.find("assign poutput = lut0;"), std::string::npos);
+
+    net.outputs = {{"output", 3}, {"poutput", 4}};
+    EXPECT_EQ(emit_error(net),
+              "emit_verilog_luts: output 'output' and output 'poutput' map to the same "
+              "Verilog identifier 'poutput'");
+}
+
 TEST(LutNetwork, CompiledSimulateMatchesPerLaneReferenceOnRandomNetworks) {
     Xorshift64Star rng{0x1C7BEEFULL};
     for (int round = 0; round < 12; ++round) {

@@ -12,11 +12,13 @@
 #include "netlist/emit_vhdl.h"
 #include "netlist/equivalence.h"
 #include "netlist/parse_vhdl.h"
+#include "netlist/simulate.h"
 #include "opt/opt.h"
 #include "testutil.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -73,15 +75,18 @@ TEST(ParseVhdl, RoundTripsEmittedMultiplier) {
     EXPECT_FALSE(netlist::check_equivalence(nl, parsed).has_value());
 }
 
+/// The std::invalid_argument message parse_vhdl throws on `text`, or ""
+/// when it parses.
+std::string line_error(const std::string& text) {
+    try {
+        static_cast<void>(netlist::parse_vhdl(text));
+    } catch (const std::invalid_argument& e) {
+        return e.what();
+    }
+    return "";
+}
+
 TEST(ParseVhdl, RejectsMalformedTextWithLineNumbers) {
-    const auto line_error = [](const std::string& text) -> std::string {
-        try {
-            static_cast<void>(netlist::parse_vhdl(text));
-        } catch (const std::invalid_argument& e) {
-            return e.what();
-        }
-        return "";
-    };
     // Undefined operand.
     EXPECT_NE(line_error("a : in std_logic;\nc : out std_logic;\n"
                          "c <= a and ghost;\n")
@@ -111,6 +116,31 @@ TEST(ParseVhdl, RejectsMalformedTextWithLineNumbers) {
     EXPECT_EQ(line_error("a : out std_logic;\nb : in std_logic;\n"
                          "a : in std_logic;\na <= b;\n"),
               "parse_vhdl: line 3: duplicate declaration of 'a'");
+}
+
+TEST(ParseVhdl, ComparesNamesWithoutCase) {
+    // Another spelling is the same signal, and a port keeps the spelling of
+    // its declaration.
+    const Netlist nl = netlist::parse_vhdl(
+        "A : IN std_logic;\nb : in std_logic;\nC : Out std_logic;\n"
+        "n1 <= a AND B;\nc <= N1;\n");
+    ASSERT_EQ(nl.inputs().size(), 2U);
+    EXPECT_EQ(nl.inputs()[0].name, "A");
+    EXPECT_EQ(nl.inputs()[1].name, "b");
+    ASSERT_EQ(nl.outputs().size(), 1U);
+    EXPECT_EQ(nl.outputs()[0].name, "C");
+    EXPECT_EQ(netlist::simulate(nl, std::vector<std::uint64_t>{0b1100, 0b1010})[0], 0b1000U);
+
+    // A second declaration in another spelling is a duplicate, as is a
+    // second drive.
+    EXPECT_EQ(line_error("a : in std_logic;\nA : in std_logic;\n"),
+              "parse_vhdl: line 2: duplicate declaration of 'A'");
+    EXPECT_EQ(line_error("a : in std_logic;\nA : out std_logic;\n"),
+              "parse_vhdl: line 2: duplicate declaration of 'A'");
+    EXPECT_EQ(line_error("y : out std_logic;\nY : out std_logic;\n"),
+              "parse_vhdl: line 2: duplicate declaration of 'Y'");
+    EXPECT_EQ(line_error("a : in std_logic;\nc : out std_logic;\nc <= a;\nC <= a;\n"),
+              "parse_vhdl: line 4: signal 'C' driven twice");
 }
 
 TEST(ReverseEngineer, RecoversEveryTableVField) {

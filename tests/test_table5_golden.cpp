@@ -34,25 +34,8 @@ struct GoldenRow {
     int lut_depth = 0;
     std::string_view ns;   ///< report::fmt(delay_ns, 2)
     std::string_view axt;  ///< report::fmt(area_time, 2)
-    std::uint64_t network = 0;  ///< network_fingerprint(FlowResult::network)
+    std::uint64_t network = 0;  ///< testutil::lut_network_fingerprint(FlowResult::network)
 };
-
-/// FNV-1a over every LUT in order (fanin count, fanin refs, truth table),
-/// then over every output ref; each value is fed as 8 little-endian bytes.
-std::uint64_t network_fingerprint(const LutNetwork& net) {
-    testutil::Fingerprint fp;
-    for (const auto& lut : net.luts) {
-        fp.feed(lut.fanins.size());
-        for (const std::int32_t ref : lut.fanins) {
-            fp.feed(static_cast<std::uint64_t>(static_cast<std::int64_t>(ref)));
-        }
-        fp.feed(lut.truth);
-    }
-    for (const auto& out : net.outputs) {
-        fp.feed(static_cast<std::uint64_t>(static_cast<std::int64_t>(out.second)));
-    }
-    return fp.value();
-}
 
 // Fields in field::table5_fields() order, methods in mult::all_methods()
 // order.
@@ -207,7 +190,7 @@ TEST_P(Table5GoldenField, RowsMatch) {
         EXPECT_EQ(got.lut_depth, want.lut_depth);
         EXPECT_EQ(report::fmt(got.delay_ns, 2), want.ns);
         EXPECT_EQ(report::fmt(got.area_time, 2), want.axt);
-        EXPECT_EQ(network_fingerprint(got.network), want.network);
+        EXPECT_EQ(testutil::lut_network_fingerprint(got.network), want.network);
     }
 }
 

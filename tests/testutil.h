@@ -25,6 +25,7 @@
 
 #include "field/field_catalog.h"
 #include "field/gf2m.h"
+#include "fpga/lut_network.h"
 #include "gf2/gf2_poly.h"
 #include "gf2/pentanomial.h"
 #include "netlist/clone.h"
@@ -151,6 +152,23 @@ inline std::uint64_t netlist_fingerprint(const netlist::Netlist& nl) {
     return fp.value();
 }
 
+/// Fingerprint of a mapped LUT network: every LUT in order (fanin count,
+/// fanin refs, truth table), then every output ref.
+inline std::uint64_t lut_network_fingerprint(const fpga::LutNetwork& net) {
+    Fingerprint fp;
+    for (const auto& lut : net.luts) {
+        fp.feed(lut.fanins.size());
+        for (const std::int32_t ref : lut.fanins) {
+            fp.feed(static_cast<std::uint64_t>(static_cast<std::int64_t>(ref)));
+        }
+        fp.feed(lut.truth);
+    }
+    for (const auto& out : net.outputs) {
+        fp.feed(static_cast<std::uint64_t>(static_cast<std::int64_t>(out.second)));
+    }
+    return fp.value();
+}
+
 // --- Seeded PRNG -------------------------------------------------------------
 
 /// xorshift64* — tiny, fast, trivially copyable, identical on every platform
@@ -209,6 +227,52 @@ inline std::uint64_t random_word_element(const field::Field& f,
     const std::uint64_t mask =
         (m >= 64) ? ~std::uint64_t{0} : ((std::uint64_t{1} << m) - 1);
     return rng.next() & mask;
+}
+
+/// A seeded random multi-output XOR-of-products netlist for the LUT-aware
+/// XOR builder and the flow's strategy search.  3-8 inputs, so every input
+/// wire lands in many terms of a sum.  The terms are inputs themselves
+/// (LUT level 0), AND cones of 2-8 inputs
+/// (level 1, or 2 when wider than one LUT), ANDs over a small XOR, and the
+/// constant 0.  Each output is an unshared XOR chain over 2-60 terms drawn
+/// with repeats from one pool, so outputs share leaves and duplicates
+/// cancel.  Chains and cones use the fresh constructors, so nothing folds
+/// before the passes see it; the builder's chunk roots then sit at levels
+/// 2-3 beside wide leaves, which ties overlaps across levels.
+inline netlist::Netlist random_xor_sums(Xorshift64Star& rng) {
+    netlist::Netlist nl;
+    const auto n_inputs = static_cast<int>(3 + rng.next() % 6);
+    std::vector<netlist::NodeId> inputs;
+    for (int i = 0; i < n_inputs; ++i) {
+        inputs.push_back(nl.add_input("x" + std::to_string(i)));
+    }
+    const auto input = [&] { return inputs[rng.next() % inputs.size()]; };
+    std::vector<netlist::NodeId> pool = inputs;
+    pool.push_back(nl.const0());
+    const auto n_terms = static_cast<int>(4 + rng.next() % 40);
+    for (int t = 0; t < n_terms; ++t) {
+        netlist::NodeId term = input();
+        if (rng.next() % 6 == 0) {
+            const netlist::NodeId x = input();
+            term = nl.make_and_fresh(nl.make_xor_fresh(term, x), input());
+        } else {
+            const auto width = static_cast<int>(2 + rng.next() % 7);
+            for (int k = 1; k < width; ++k) {
+                term = nl.make_and_fresh(term, input());
+            }
+        }
+        pool.push_back(term);
+    }
+    const auto n_outputs = static_cast<int>(1 + rng.next() % 4);
+    for (int o = 0; o < n_outputs; ++o) {
+        const auto length = static_cast<int>(2 + rng.next() % 59);
+        netlist::NodeId sum = pool[rng.next() % pool.size()];
+        for (int k = 1; k < length; ++k) {
+            sum = nl.make_xor_fresh(sum, pool[rng.next() % pool.size()]);
+        }
+        nl.add_output("y" + std::to_string(o), sum);
+    }
+    return nl;
 }
 
 // --- Field iteration ---------------------------------------------------------
