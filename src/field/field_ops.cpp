@@ -6,6 +6,31 @@
 
 namespace gfr::field {
 
+namespace {
+
+// How many doubling steps of the multi-word Itoh-Tsujii chain run as table
+// maps: the longest ones, which are its last.  At the five NIST degrees
+// they cover 87% of the chain's squarings, and their tables take about
+// 1 MB over all five fields.
+constexpr std::size_t kTableSteps = 3;
+
+// out (mw words) = x^(2^k) mod f: one row per 4-bit window of x, selected
+// by the window's value (see FieldOps::SquaringTable).
+void apply_table(const std::vector<std::uint64_t>& rows, const std::uint64_t* x,
+                 std::size_t mw, std::uint64_t* out) noexcept {
+    std::fill_n(out, mw, 0);
+    const std::size_t windows = rows.size() / (16 * mw);
+    const std::uint64_t* row = rows.data();
+    for (std::size_t w = 0; w < windows; ++w, row += 16 * mw) {
+        const std::uint64_t* e = row + ((x[w / 16] >> (4 * (w % 16))) & 15U) * mw;
+        for (std::size_t i = 0; i < mw; ++i) {
+            out[i] ^= e[i];
+        }
+    }
+}
+
+}  // namespace
+
 FieldOps::FieldOps(gf2::Poly modulus)
     : modulus_{std::move(modulus)}, m_{modulus_.degree()}, fold_{modulus_} {
     if (m_ < 2) {
@@ -128,6 +153,64 @@ void FieldOps::reduce_words(std::uint64_t* p, std::size_t pn) const noexcept {
     fold_.reduce_words(p, pn);
 }
 
+void FieldOps::build_squaring_tables() const {
+    // The chain's doubling lengths t in order (see inv(std::uint64_t)).
+    const auto e = static_cast<unsigned>(m_ - 1);
+    std::vector<int> doublings;
+    for (int i = std::bit_width(e) - 2, t = 1; i >= 0; --i) {
+        doublings.push_back(t);
+        t = 2 * t + static_cast<int>((e >> i) & 1U);
+    }
+    const std::size_t first = doublings.size() - std::min(doublings.size(), kTableSteps);
+
+    // Column i of the map x -> x^(2^k) is y^(i 2^k) = z^i for z = y^(2^k):
+    // an even column is the square of column i/2, an odd one column i-1
+    // times z.  Each window then fills its other 11 entries by XOR.
+    const std::size_t mw = elem_words();
+    const std::size_t bufn = 2 * mw;
+    const auto windows = static_cast<std::size_t>(m_ + 3) / 4;
+    gf2::MulArena arena;
+    std::vector<std::uint64_t> z(bufn, 0);
+    std::vector<std::uint64_t> prod(bufn, 0);
+    z[0] = 2;  // y
+    int squarings = 0;
+    for (std::size_t step = first; step < doublings.size(); ++step) {
+        SquaringTable table{doublings[step], std::vector<std::uint64_t>(windows * 16 * mw, 0)};
+        for (; squarings < table.k; ++squarings) {
+            gf2::spread_words(z.data(), mw, prod.data());
+            fold_.reduce_words(prod.data(), bufn);
+            std::swap(z, prod);
+        }
+        const auto column = [&](int i) {
+            const auto w = static_cast<std::size_t>(i / 4);
+            return table.rows.data() + (16 * w + (std::size_t{1} << (i % 4))) * mw;
+        };
+        column(0)[0] = 1;
+        for (int i = 1; i < m_; ++i) {
+            if (i % 2 == 0) {
+                gf2::spread_words(column(i / 2), mw, prod.data());
+            } else {
+                std::fill(prod.begin(), prod.end(), 0);
+                gf2::mul_words(column(i - 1), mw, z.data(), mw, prod.data(), arena);
+            }
+            fold_.reduce_words(prod.data(), bufn);
+            std::copy_n(prod.data(), mw, column(i));
+        }
+        for (std::size_t w = 0; w < windows; ++w) {
+            std::uint64_t* row = table.rows.data() + 16 * w * mw;
+            for (std::size_t v = 3; v < 16; ++v) {
+                const std::size_t low = v & (~v + 1);
+                if (low != v) {
+                    for (std::size_t i = 0; i < mw; ++i) {
+                        row[v * mw + i] = row[(v ^ low) * mw + i] ^ row[low * mw + i];
+                    }
+                }
+            }
+        }
+        tables_.push_back(std::move(table));
+    }
+}
+
 void FieldOps::inv(const gf2::Poly& a, gf2::Poly& out, Scratch& scratch) const {
     const auto aw = a.words();
     if (single_word() && aw.size() <= 1) {
@@ -139,11 +222,16 @@ void FieldOps::inv(const gf2::Poly& a, gf2::Poly& out, Scratch& scratch) const {
     if (scratch.base.is_zero()) {
         throw std::invalid_argument{"FieldOps::inv: zero has no inverse"};
     }
+    if (single_word()) {  // an unreduced operand of a u64 field
+        out.assign_word(inv(scratch.base.words()[0]));
+        return;
+    }
+    std::call_once(tables_once_, [this] { build_squaring_tables(); });
     // Itoh-Tsujii addition chain on e = m - 1 (see the single-word overload
-    // for the recurrence).  The ~m squarings dominate the chain, so the loop
-    // runs on raw word buffers: spread + fold per squaring, mul_words (with
-    // its Karatsuba layer) + fold per multiply — no Poly normalize/degree
-    // bookkeeping per operation.
+    // for the recurrence).  The loop runs on raw word buffers: a table map
+    // for the longest doubling steps, spread + fold per squaring for the
+    // rest, mul_words (with its Karatsuba layer) + fold per multiply — no
+    // Poly normalize/degree bookkeeping per operation.
     const std::size_t mw = elem_words();
     const std::size_t bufn = 2 * mw;
     scratch.wcur.assign(bufn, 0);
@@ -154,6 +242,13 @@ void FieldOps::inv(const gf2::Poly& a, gf2::Poly& out, Scratch& scratch) const {
     std::copy(bw.begin(), bw.end(), scratch.wcur.begin());
 
     const auto square_times = [&](int k) {
+        const auto table = std::find_if(tables_.begin(), tables_.end(),
+                                        [k](const SquaringTable& s) { return s.k == k; });
+        if (table != tables_.end()) {
+            apply_table(table->rows, scratch.wcur.data(), mw, scratch.wtmp.data());
+            std::swap(scratch.wcur, scratch.wtmp);
+            return;
+        }
         for (int j = 0; j < k; ++j) {
             gf2::spread_words(scratch.wcur.data(), mw, scratch.wtmp.data());
             fold_.reduce_words(scratch.wtmp.data(), bufn);

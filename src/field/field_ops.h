@@ -20,12 +20,15 @@
 //     the caller's Scratch, so steady-state multiplies do no heap work
 //     beyond the caller's output element.
 //
-// Thread-safety: FieldOps is immutable after construction; every operation
-// is const.  The multi-word (m > 64) path needs working buffers, which the
-// caller passes as an explicit FieldOps::Scratch — one per thread (or use
-// the convenience overloads, which borrow a thread_local default).  One
-// FieldOps instance can therefore serve concurrent callers with no external
-// locking.  The single-word path is pure.
+// Thread-safety: FieldOps is immutable after construction, with one
+// exception: the multi-word inverse's multi-squaring tables, which the first
+// multi-word inv() builds once under std::call_once and which are read-only
+// from then on.  Every operation is const.  The multi-word (m > 64) path
+// needs working buffers, which the caller passes as an explicit
+// FieldOps::Scratch — one per thread (or use the convenience overloads,
+// which borrow a thread_local default).  One FieldOps instance can
+// therefore serve concurrent callers with no external locking.  The
+// single-word path is pure.
 //
 // Region traffic (one constant times a whole buffer: Reed-Solomon stripes,
 // erasure repair) is bulk::RegionEngine's job, one layer up; it builds its
@@ -39,6 +42,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -176,9 +180,9 @@ public:
         gf2::MulArena arena;  ///< Karatsuba split/sum arena for mul
         gf2::Poly base;       ///< reduced operand held across the inv chain
         // Raw word buffers for the reduction fold and the inversion chain's
-        // square/multiply loop (kept off the Poly bookkeeping: ~m squarings
-        // per inverse make per-op normalize/degree scans the dominant cost
-        // otherwise).
+        // square/table-map/multiply loop (kept off the Poly bookkeeping:
+        // per-op normalize/degree scans would otherwise dominate the
+        // chain's short steps).
         std::vector<std::uint64_t> wcur, wtmp, wprod, wsave;
     };
 
@@ -200,7 +204,12 @@ public:
     }
 
     /// out = a^-1 mod f via the Itoh-Tsujii addition chain (multi-word
-    /// sibling of inv(std::uint64_t); also serves m <= 64 operands).  Throws
+    /// sibling of inv(std::uint64_t), which serves m <= 64 operands).  The
+    /// chain's three longest doubling steps (81 / 40 / 20 squarings at
+    /// m = 163) are each one multi-squaring table map: x -> x^(2^k) is
+    /// GF(2)-linear, so every 4-bit window of x selects one precomputed
+    /// element to XOR in.  The first call with m > 64 builds the three
+    /// tables, 4m elements each; shorter steps square one at a time.  Throws
     /// std::invalid_argument when a is zero (mod f).  out must not alias a.
     void inv(const gf2::Poly& a, gf2::Poly& out, Scratch& scratch) const;
     void inv(const gf2::Poly& a, gf2::Poly& out) const {
@@ -222,12 +231,25 @@ public:
     void reduce_words(std::uint64_t* p, std::size_t pn) const noexcept;
 
 private:
+    /// x -> x^(2^k) mod f as a window table: for the w-th 4-bit window of
+    /// x and nibble value v, the elem_words() words at (16 w + v) *
+    /// elem_words() hold (v y^(4w))^(2^k) mod f.
+    struct SquaringTable {
+        int k = 0;
+        std::vector<std::uint64_t> rows;
+    };
+
+    void build_squaring_tables() const;
+
     gf2::Poly modulus_;
     int m_ = 0;
     gf2::WordFold fold_;            ///< the word-span reduction (any m)
     std::uint64_t elem_mask_ = 0;   ///< low-m mask (all-ones when m == 64)
     std::uint64_t tails_mask_ = 0;  ///< bit t set per tail (f - y^m), m <= 64
     int fold_bound_ = 1;            ///< see fold_bound()
+    // Built by the first multi-word inv(), read-only after.
+    mutable std::once_flag tables_once_;
+    mutable std::vector<SquaringTable> tables_;
 };
 
 }  // namespace gfr::field

@@ -7,6 +7,13 @@
 //   (1) y^(2^m) == y (mod f), and
 //   (2) gcd(y^(2^(m/p)) - y mod f, f) == 1 for every prime divisor p of m.
 //
+// Before the chain, a pre-check for degree > 5 reduces f modulo P, the
+// product of the twelve irreducibles of degree 2-5 (degree 50, one word),
+// and rejects f when gcd(f mod P, P) != 1: f then has a factor of degree
+// 2-5.  An irreducible f of degree > 5 shares no factor with P, so the
+// check never rejects one; it stops about half of the reducible type II
+// candidates the NIST-degree searches meet before their m squarings.
+//
 // Both conditions come from one chain of m squarings of y on raw words:
 // each squaring is gf2::spread_words followed by gf2::WordFold, the sparse
 // word-level fold the field engine reduces with.  The chain snapshots

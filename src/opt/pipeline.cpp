@@ -15,7 +15,6 @@
 #include "netlist/equivalence.h"
 #include "netlist/passes.h"
 
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -96,30 +95,20 @@ OptResult optimize(const Netlist& nl, const OptOptions& options) {
     if (options.restructure) {
         // Global XOR restructuring via the synthesis passes: best-of over
         // two strategies (ANF regrouping by output signature, and plain
-        // fast-extract), mirroring the FPGA flow's strategy search.  These
-        // rebuild from flattened equations, so no node map survives.
-        netlist::SynthOptions grouped;
-        grouped.flatten_anf = true;
-        grouped.group_cones = true;
-        grouped.extract_pairs = true;
-        grouped.balance = true;
-        netlist::SynthOptions extracted;
-        extracted.flatten_anf = false;
-        extracted.extract_pairs = true;
-        extracted.balance = true;
-
-        Netlist best;
-        std::optional<netlist::NetlistStats> best_stats;
-        for (const auto& synth : {grouped, extracted}) {
-            Netlist candidate = netlist::synthesize(result.netlist, synth);
-            const auto stats = candidate.stats();
-            if (!best_stats || stats.gates() < best_stats->gates()) {
-                best = std::move(candidate);
-                best_stats = stats;
-            }
+        // fast-extract), mirroring the FPGA flow's strategy search.  Each
+        // is what netlist::synthesize builds for it, from one shared dce.
+        // These rebuild from flattened equations, so no node map survives.
+        const Netlist cleaned = netlist::dce(result.netlist);
+        Netlist best = netlist::extract_common_xor_pairs(netlist::group_common_cones(cleaned), 2);
+        netlist::NetlistStats best_stats = best.stats();
+        Netlist extracted =
+            netlist::balance_xor_trees(netlist::extract_common_xor_pairs(cleaned, 2));
+        if (const auto stats = extracted.stats(); stats.gates() < best_stats.gates()) {
+            best = std::move(extracted);
+            best_stats = stats;
         }
-        if (best_stats && best_stats->gates() < current.gates()) {
-            commit("restructure", std::move(best), {}, *best_stats);
+        if (best_stats.gates() < current.gates()) {
+            commit("restructure", std::move(best), {}, best_stats);
         }
     }
 

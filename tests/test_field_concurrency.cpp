@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -126,6 +127,45 @@ TEST(FieldConcurrency, SharedPentanomialFieldMatchesSerialReplay) {
 TEST(FieldConcurrency, SharedSingleWordFieldMatchesSerialReplay) {
     const Field f = Field::type2(64, 23);  // u64 fast path + u64 region layout
     run_shared_field_hammer(f);
+}
+
+// The multi-word inverse builds its squaring tables on the engine's first
+// call.  Four threads released together make inv their first call on one
+// fresh Field, so they race for that build; each thread's inverses must
+// equal a serial replay on a second fresh Field, whose tables one thread
+// built alone.
+TEST(FieldConcurrency, FirstInverseRaceBuildsTablesOnce) {
+    const Poly modulus = testutil::large_modulus(571);
+    const auto inverses = [](const Field& f, std::uint64_t seed,
+                             std::vector<std::uint64_t>& out) {
+        Xorshift64Star rng{seed};
+        for (int i = 0; i < 32; ++i) {
+            out.push_back(checksum(f.inv(testutil::random_nonzero_element(f, rng))));
+        }
+    };
+
+    const Field shared{modulus};
+    std::vector<std::vector<std::uint64_t>> threaded(kThreads);
+    {
+        std::latch start{kThreads};
+        std::vector<std::thread> workers;
+        workers.reserve(kThreads);
+        for (int t = 0; t < kThreads; ++t) {
+            workers.emplace_back([&, t] {
+                start.arrive_and_wait();
+                inverses(shared, kSeedBase + t, threaded[t]);
+            });
+        }
+        for (auto& w : workers) {
+            w.join();
+        }
+    }
+    const Field replay{modulus};
+    for (int t = 0; t < kThreads; ++t) {
+        std::vector<std::uint64_t> serial;
+        inverses(replay, kSeedBase + t, serial);
+        ASSERT_EQ(threaded[static_cast<std::size_t>(t)], serial) << "thread " << t;
+    }
 }
 
 // The explicit-scratch API: each thread owns a FieldOps::Scratch and drives

@@ -159,6 +159,7 @@ TEST(FieldOpsNonCanonical, UnreducedInputsAreReducedNotTruncated) {
     // Two words: exceeds the single-word fast path entirely.
     const Poly wide = Poly::from_exponents({70, 8, 1});
     EXPECT_EQ(f.mul(c, wide), f.mul_reference(c, wide));
+    EXPECT_EQ(f.inv(wide), f.inv_euclid(f.reduce(wide)));
 }
 
 // --- Allocation accounting ---------------------------------------------------

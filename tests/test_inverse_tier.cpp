@@ -1,9 +1,10 @@
 // Differential property tests for the large-field inversion tier.
 //
-// Field::inv now runs the engine's Itoh-Tsujii addition chain; this file
-// pins it, on every Table V catalog field and on the large differential
-// degrees {127, 192, 256, 409, 571, 1024}, against the two structurally
-// independent inverses the repo keeps for exactly this purpose:
+// Field::inv now runs the engine's Itoh-Tsujii addition chain, its longest
+// steps on multi-squaring tables; this file pins it, on every Table V
+// catalog field, on the large differential degrees {127, 192, 256, 409, 571,
+// 1024} and at the tables' window and word boundaries, against the two
+// structurally independent inverses the repo keeps for exactly this purpose:
 //
 //   - inv_euclid: extended Euclid over generic divmod (the seed's path);
 //   - inv_fermat: the plain square-and-multiply ladder.
@@ -87,6 +88,29 @@ INSTANTIATE_TEST_SUITE_P(LargeDegrees, InverseTierLargeFields,
                              return "m" + std::to_string(info.param);
                          });
 
+// The multi-word chain's longest doubling steps are table maps that read x
+// in 4-bit windows.  m = 65, 66, 67 and 129, 193, 257 end in a partial
+// window or a part-filled word; m = 128 and 192 are word-aligned; and for
+// m - 1 = 64, 128, 256, 1024 every step of the chain is a doubling.  Beside
+// random elements, the all-ones element fills every window and y^(m-1) only
+// the top one.
+TEST(InverseTier, TableChainAtWindowAndWordBoundaries) {
+    for (const int m : {65, 66, 67, 127, 128, 129, 192, 193, 257, 1025}) {
+        const Field f{testutil::large_modulus(m)};
+        check_inverse_properties(f, static_cast<std::uint64_t>(m) * 0x7AB1E, m > 512 ? 3 : 8);
+        Poly ones;
+        for (int i = 0; i < m; ++i) {
+            ones.set_coeff(i, true);
+        }
+        const Poly top = Poly::monomial(m - 1);
+        for (const Poly& a : {ones, top, ones + top}) {
+            const Poly ia = f.inv(a);
+            EXPECT_EQ(ia, f.inv_euclid(a)) << f.to_string();
+            EXPECT_EQ(ia, f.inv_fermat(a)) << f.to_string();
+        }
+    }
+}
+
 // The engine's u64 chain and the multi-word chain are distinct code paths;
 // on a single-word field the Poly overload routes to the u64 one, so pin the
 // u64 chain against Fermat-on-engine separately (same mul/sqr kernels, but
@@ -108,7 +132,8 @@ TEST(InverseTier, SingleWordChainMatchesFermatLadder) {
 }
 
 // Steady-state multi-word inversion with a caller-owned scratch reuses every
-// buffer: after warmup the chain performs no heap allocation.
+// buffer: after warmup, which also builds the engine's squaring tables, the
+// chain performs no heap allocation.
 TEST(InverseTier, MultiWordInversionIsAllocationFreeInSteadyState) {
     const Field f{testutil::large_modulus(409)};
     const auto& ops = f.ops();

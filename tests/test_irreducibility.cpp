@@ -203,10 +203,42 @@ TEST(Irreducibility, MatchesBitSerialRabinOnTypeIICandidates) {
     EXPECT_EQ(irreducible, 173);
 }
 
+TEST(Irreducibility, MatchesBitSerialRabinOnTrinomialsAndTypeIPentanomials) {
+    // Every trinomial y^m + y^k + 1 and type I pentanomial with m in [6, 96]:
+    // the families whose small factors the degree 2-5 pre-check rejects
+    // before the chain, beside the type II sweep above.  Counts recorded
+    // with the chain-only test.
+    int trinomials = 0;
+    int irreducible_trinomials = 0;
+    int type1 = 0;
+    int irreducible_type1 = 0;
+    for (int m = 6; m <= 96; ++m) {
+        for (int k = 1; k < m; ++k) {
+            const Poly f = Poly::from_exponents({m, k, 0});
+            const bool expected = bit_serial_rabin(f);
+            EXPECT_EQ(is_irreducible(f), expected) << "y^" << m << " + y^" << k << " + 1";
+            ++trinomials;
+            irreducible_trinomials += expected ? 1 : 0;
+        }
+        for (int n = 2; n <= m - 3; ++n) {
+            const Poly f = TypeIPentanomial{m, n}.poly();
+            const bool expected = bit_serial_rabin(f);
+            EXPECT_EQ(is_irreducible(f), expected) << "type I (m,n)=(" << m << "," << n << ")";
+            ++type1;
+            irreducible_type1 += expected ? 1 : 0;
+        }
+    }
+    EXPECT_EQ(trinomials, 4550);
+    EXPECT_EQ(irreducible_trinomials, 247);
+    EXPECT_EQ(type1, 4277);
+    EXPECT_EQ(irreducible_type1, 318);
+}
+
 TEST(Irreducibility, ChainAllocatesPerCallNotPerSquaring) {
     // 571 squarings each: one irreducible (the NIST-degree search's answer)
-    // and one reducible candidate that fails condition (1).
-    for (const int n : {103, 2}) {
+    // and one reducible candidate with no factor of degree <= 5, so it
+    // passes the pre-check and fails condition (1).
+    for (const int n : {103, 4}) {
         const Poly f = TypeIIPentanomial{571, n}.poly();
         const testutil::AllocationGuard guard;
         const bool irreducible = is_irreducible(f);
