@@ -66,6 +66,23 @@ NodeId rebuild_plain(const Netlist& src, Netlist& dst, std::vector<NodeId>& memo
     return memo[id];
 }
 
+/// Sort `leaves` and cancel equal leaves pairwise (x ^ x = 0), in place.
+void cancel_pairs(std::vector<NodeId>& leaves) {
+    std::sort(leaves.begin(), leaves.end());
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < leaves.size();) {
+        std::size_t j = i;
+        while (j < leaves.size() && leaves[j] == leaves[i]) {
+            ++j;
+        }
+        if ((j - i) % 2 == 1) {
+            leaves[kept++] = leaves[i];
+        }
+        i = j;
+    }
+    leaves.resize(kept);
+}
+
 /// Collect the leaves of the XOR tree rooted at `root`, flattening through
 /// XOR nodes that satisfy `expand(id)`; the root itself is always expanded
 /// if it is an XOR.  Duplicate leaves cancel pairwise (x ^ x = 0).
@@ -85,20 +102,8 @@ std::vector<NodeId> xor_leaves(const Netlist& src, NodeId root, ExpandPred expan
             leaves.push_back(id);
         }
     }
-    std::sort(leaves.begin(), leaves.end());
-    // Cancel equal pairs mod 2.
-    std::vector<NodeId> out;
-    for (std::size_t i = 0; i < leaves.size();) {
-        std::size_t j = i;
-        while (j < leaves.size() && leaves[j] == leaves[i]) {
-            ++j;
-        }
-        if ((j - i) % 2 == 1) {
-            out.push_back(leaves[i]);
-        }
-        i = j;
-    }
-    return out;
+    cancel_pairs(leaves);
+    return leaves;
 }
 
 std::uint64_t pair_key(NodeId u, NodeId v) {
@@ -691,7 +696,9 @@ Netlist extract_common_xor_pairs(const Netlist& nl, int min_count) {
         return result;
     };
 
-    std::vector<std::vector<NodeId>> lists;   // sorted leaf lists, new ids
+    // Each list is a set: two old leaves can rebuild onto one new node
+    // (b & x with x == b rebuilds to b), and such a pair cancels mod 2.
+    std::vector<std::vector<NodeId>> lists;   // sorted leaf sets, new ids
     lists.reserve(nl.outputs().size());
     for (const auto& port : nl.outputs()) {
         const Node& n = nl.node(port.node);
@@ -705,7 +712,7 @@ Netlist extract_common_xor_pairs(const Netlist& nl, int min_count) {
         } else {
             new_leaves.push_back(rebuild_leaf(rebuild_leaf, port.node));
         }
-        std::sort(new_leaves.begin(), new_leaves.end());
+        cancel_pairs(new_leaves);
         lists.push_back(std::move(new_leaves));
     }
 
@@ -812,9 +819,13 @@ Netlist extract_common_xor_pairs(const Netlist& nl, int min_count) {
             }
             erase_from_list(list, u);
             erase_from_list(list, v);
+            if (list_contains(li, w)) {
+                erase_from_list(list, w);  // w ^ w cancels
+                continue;
+            }
             // New pairs with w.
             for (const NodeId x : list) {
-                if (is_shared(x) || x == w) {
+                if (is_shared(x)) {
                     const int c = ++pair_count[pair_key(x, w)];
                     if (c >= 2) {
                         heap.emplace(c, pair_key(x, w));

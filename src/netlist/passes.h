@@ -74,7 +74,9 @@ Netlist group_common_cones(const Netlist& nl);
 /// Greedy common-pair extraction across output equations, followed by a
 /// balanced rebuild.  Leaves are the non-XOR nodes and the shared XOR
 /// subterms; only leaves appearing in at least two output equations are
-/// candidates for pairing.
+/// candidates for pairing.  Each equation's leaf list is kept a set:
+/// leaves that rebuild onto one node cancel pairwise, and an extracted pair
+/// gate already in a list cancels with it instead of entering twice.
 Netlist extract_common_xor_pairs(const Netlist& nl);
 
 /// As above with an explicit occurrence threshold: only pairs appearing in

@@ -3,7 +3,7 @@
 //
 // For every reachable gate, processed in topological order while the
 // destination netlist is rebuilt bottom-up, the pass enumerates up to
-// cuts_per_node cuts of at most four leaves (truth tables stitched during
+// kCutsPerNode cuts of at most four leaves (truth tables stitched during
 // the merge), looks each cut function up in the optimal-subcircuit
 // database, and prices the candidate implementation by *dry-running* it
 // against the destination's structural hash: a candidate gate that already
@@ -21,7 +21,6 @@
 // scratch reused across nodes and candidates.  The pass allocates when a
 // buffer grows, never per node or per candidate.
 
-#include "opt/internal.h"
 #include "opt/opt.h"
 #include "opt/xag_db.h"
 
@@ -41,6 +40,7 @@ using netlist::NodeId;
 namespace {
 
 constexpr int kMaxLeaves = 4;
+constexpr std::size_t kCutsPerNode = 8;    ///< cuts kept per node
 constexpr std::size_t kMaxConeNodes = 64;  ///< skip cuts with larger cones
 
 struct Cut {
@@ -266,9 +266,8 @@ bool is_gate(const netlist::Node& node) {
 PassResult rewrite_cuts(const Netlist& nl, const RewriteOptions& options) {
     const std::size_t n = nl.node_count();
     const auto reachable = nl.reachable_from_outputs();
-    const auto& db = internal::XagDatabase::instance(options.max_database_gates);
+    const auto& db = internal::XagDatabase::instance();
     const StitchTable& stitch_tt = stitch_table();
-    const auto cuts_cap = static_cast<std::size_t>(std::max(2, options.cuts_per_node));
 
     // Source-side fanouts of the reachable gates, one CSR array: node v's
     // fanouts are fanout[fanout_begin[v] .. fanout_begin[v + 1]).  Output
@@ -319,14 +318,11 @@ PassResult rewrite_cuts(const Netlist& nl, const RewriteOptions& options) {
         input_name[port.node] = &port.name;
     }
 
-    // Every node's cut list, back to back.  Reserved for the default list
-    // length (plus the trivial cut) at every listed node; a longer list
-    // grows the pool by the cuts actually kept, never by the cap.
+    // Every node's cut list, back to back: at most kCutsPerNode cuts plus
+    // the trivial cut at every listed node.
     std::vector<CutRange> ranges(n);
     std::vector<Cut> pool;
-    pool.reserve(listed * (std::min(cuts_cap, static_cast<std::size_t>(
-                                                  RewriteOptions{}.cuts_per_node)) +
-                           1));
+    pool.reserve(listed * (kCutsPerNode + 1));
 
     // Scratch reused across nodes and candidates.
     std::array<std::vector<Cut>, kMaxLeaves> by_size;  // merged cuts per leaf count
@@ -394,11 +390,11 @@ PassResult rewrite_cuts(const Netlist& nl, const RewriteOptions& options) {
                 bucket.push_back(c);
             }
         }
-        // Keep the first cuts_cap cuts, then the trivial cut.
+        // Keep the first kCutsPerNode cuts, then the trivial cut.
         const std::size_t begin = pool.size();
         for (const auto& bucket : by_size) {
             for (const Cut& c : bucket) {
-                if (pool.size() - begin == cuts_cap) {
+                if (pool.size() - begin == kCutsPerNode) {
                     break;
                 }
                 pool.push_back(c);

@@ -1,7 +1,7 @@
 #ifndef GFR_OPT_OPT_H
 #define GFR_OPT_OPT_H
 
-// Netlist optimization pipeline: four mockturtle-style passes over the
+// Netlist optimization pipeline: three mockturtle-style passes over the
 // AND/XOR IR.
 //
 //   strash             — re-intern an arbitrary netlist bottom-up: constant
@@ -23,26 +23,19 @@
 //                        cones already built.  Every node's cuts live in
 //                        one pool, so the pass allocates per buffer growth,
 //                        not per node or candidate.
-//   reduce_functional  — functional reduction: random-pattern signatures
-//                        group candidate-equivalent nodes, every merge is
-//                        confirmed by netlist::check_equivalence on the
-//                        extracted cones before it is applied.  When
-//                        nothing merges the pass costs one strash, and it
-//                        returns its input unchanged when that is already
-//                        strashed.
 //   restructure        — global XOR restructuring reusing the synthesis
 //                        passes (group_common_cones / fast-extract pair
 //                        CSE / depth balancing), best-of over strategies.
 //
-// optimize() chains them and gates EVERY pass with the equivalence
-// campaign (netlist::check_equivalence rides verify::Campaign): a pass
-// whose output is not equivalent to its input throws VerificationError and
-// nothing downstream ever sees the bad netlist.  The mutation tier proves
-// the gate bites (RewriteOptions::unsound_for_test).  The campaign is
-// skipped only for output node-for-node identical to the pass input (same
-// node count, the same (kind, a, b) at every id, the same ports with the
-// same names), which is equivalent by construction; never on gate count
-// alone.
+// optimize() chains them, with strash first and a strash sweep last on
+// every call, and gates EVERY pass with the equivalence campaign
+// (netlist::check_equivalence rides verify::Campaign): a pass whose output
+// is not equivalent to its input throws VerificationError and nothing
+// downstream ever sees the bad netlist.  The mutation tier proves the gate
+// bites (RewriteOptions::unsound_for_test).  The campaign is skipped only
+// for output node-for-node identical to the pass input (same node count,
+// the same (kind, a, b) at every id, the same ports with the same names),
+// which is equivalent by construction; never on gate count alone.
 
 #include "netlist/equivalence.h"
 #include "netlist/netlist.h"
@@ -71,12 +64,6 @@ struct PassResult {
 PassResult strash(const netlist::Netlist& nl);
 
 struct RewriteOptions {
-    /// Database depth: minimal implementations enumerated up to this many
-    /// gates per <=4-input function (tree cost; DAG sharing is priced at
-    /// rewrite time against the destination netlist).
-    int max_database_gates = 5;
-    /// Cuts kept per node during enumeration.
-    int cuts_per_node = 8;
     /// Mutation-tier hook: XOR output 0's driver with primary input 0, a
     /// deliberately unsound rewrite the post-pass campaign must catch.
     bool unsound_for_test = false;
@@ -85,21 +72,6 @@ struct RewriteOptions {
 /// DAG-aware <=4-cut database rewriting.
 PassResult rewrite_cuts(const netlist::Netlist& nl,
                         const RewriteOptions& options = {});
-
-struct ReduceOptions {
-    /// 64-lane random signature words per node (4 => 256 patterns).
-    int signature_words = 4;
-    std::uint64_t seed = 0xF12EDULL;
-    /// Upper bound on check_equivalence cone confirmations per run (a
-    /// safety valve on adversarial inputs; candidates beyond it stay
-    /// unmerged, which is always sound).  Classes are confirmed in
-    /// ascending order of their signature hash.
-    int max_confirmations = 4096;
-};
-
-/// Functional reduction via simulation signatures + cone equivalence.
-PassResult reduce_functional(const netlist::Netlist& nl,
-                             const ReduceOptions& options = {});
 
 /// One pipeline stage's before/after record.
 struct PassReport {
@@ -129,16 +101,13 @@ private:
 };
 
 struct OptOptions {
-    bool strash = true;
     /// Global XOR restructuring via the synthesis passes.  When it commits,
     /// it invalidates the node map (see OptResult::node_map_valid).
     bool restructure = true;
     /// Cut-rewriting rounds (0 disables); rounds stop early when a round
     /// stops improving the gate count.
     int rewrite_rounds = 2;
-    bool reduce = true;
     RewriteOptions rewrite{};
-    ReduceOptions reduction{};
     /// Gate every pass with the equivalence campaign.  Leave on; the off
     /// switch exists for benchmarking the passes themselves.
     bool verify_each_pass = true;

@@ -1,13 +1,13 @@
 // The campaign-gated pipeline: strash -> restructure -> rewrite rounds ->
-// functional reduction -> final strash.  After every stage the candidate is
-// checked for combinational equivalence against the stage's input; a
-// failing stage throws VerificationError and its output is discarded, so
-// nothing downstream (mappers, emitters, reports) ever consumes an
-// unverified netlist.  A candidate node-for-node identical to the stage's
-// input is equivalent by construction and skips the campaign; a gate count
-// alone never does.
+// final strash (the sweep).  Strash and sweep run on every call; the
+// options can only turn restructuring and rewriting off.  After every stage
+// the candidate is checked for combinational equivalence against the
+// stage's input; a failing stage throws VerificationError and its output is
+// discarded, so nothing downstream (mappers, emitters, reports) ever
+// consumes an unverified netlist.  A candidate node-for-node identical to
+// the stage's input is equivalent by construction and skips the campaign;
+// a gate count alone never does.
 
-#include "opt/internal.h"
 #include "opt/opt.h"
 
 #include "acv/acv.h"
@@ -15,6 +15,7 @@
 #include "netlist/equivalence.h"
 #include "netlist/passes.h"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -25,6 +26,30 @@ using netlist::Netlist;
 using netlist::NodeId;
 
 namespace {
+
+/// Node-for-node identity: the same node count, the same (kind, a, b) at
+/// every id, and the same input and output ports (nodes and names, in
+/// order).  Identical netlists compute the same function by construction.
+bool identical(const Netlist& x, const Netlist& y) {
+    if (x.node_count() != y.node_count() || x.inputs().size() != y.inputs().size() ||
+        x.outputs().size() != y.outputs().size()) {
+        return false;
+    }
+    for (NodeId id = 0; id < x.node_count(); ++id) {
+        const auto& u = x.node(id);
+        const auto& v = y.node(id);
+        if (u.kind != v.kind || u.a != v.a || u.b != v.b) {
+            return false;
+        }
+    }
+    const auto same_ports = [](const std::vector<netlist::Port>& p,
+                               const std::vector<netlist::Port>& q) {
+        return std::equal(p.begin(), p.end(), q.begin(), [](const auto& s, const auto& t) {
+            return s.node == t.node && s.name == t.name;
+        });
+    };
+    return same_ports(x.inputs(), y.inputs()) && same_ports(x.outputs(), y.outputs());
+}
 
 std::vector<NodeId> compose_maps(const std::vector<NodeId>& first,
                                  const std::vector<NodeId>& second) {
@@ -66,7 +91,7 @@ OptResult optimize(const Netlist& nl, const OptOptions& options) {
         report.xor_depth_before = before.xor_depth;
         report.xor_depth_after = after.xor_depth;
         if (options.verify_each_pass) {
-            if (!internal::identical(result.netlist, candidate)) {
+            if (!identical(result.netlist, candidate)) {
                 const auto mismatch =
                     netlist::check_equivalence(result.netlist, candidate,
                                                options.verify);
@@ -86,11 +111,14 @@ OptResult optimize(const Netlist& nl, const OptOptions& options) {
         result.passes.push_back(std::move(report));
     };
 
-    if (options.strash) {
+    // Strash (and, at the end, the sweep): re-intern the current netlist.
+    const auto strash_stage = [&](const char* name) {
         PassResult r = strash(result.netlist);
         const auto after = r.netlist.stats();
-        commit("strash", std::move(r.netlist), std::move(r.node_map), after);
-    }
+        commit(name, std::move(r.netlist), std::move(r.node_map), after);
+    };
+
+    strash_stage("strash");
 
     if (options.restructure) {
         // Global XOR restructuring via the synthesis passes: best-of over
@@ -125,17 +153,7 @@ OptResult optimize(const Netlist& nl, const OptOptions& options) {
         }
     }
 
-    if (options.reduce) {
-        PassResult r = reduce_functional(result.netlist, options.reduction);
-        const auto after = r.netlist.stats();
-        commit("reduce", std::move(r.netlist), std::move(r.node_map), after);
-    }
-
-    if (options.strash) {
-        PassResult r = strash(result.netlist);
-        const auto after = r.netlist.stats();
-        commit("sweep", std::move(r.netlist), std::move(r.node_map), after);
-    }
+    strash_stage("sweep");
 
     if (options.algebraic_spec != nullptr) {
         // End-to-end algebraic gate: prove the PIPELINE OUTPUT computes

@@ -1,7 +1,5 @@
-#include "opt/internal.h"
 #include "opt/opt.h"
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -12,30 +10,7 @@ using netlist::kInvalidNode;
 using netlist::Netlist;
 using netlist::NodeId;
 
-namespace internal {
-
-bool identical(const Netlist& x, const Netlist& y) {
-    if (x.node_count() != y.node_count() || x.inputs().size() != y.inputs().size() ||
-        x.outputs().size() != y.outputs().size()) {
-        return false;
-    }
-    for (NodeId id = 0; id < x.node_count(); ++id) {
-        const auto& u = x.node(id);
-        const auto& v = y.node(id);
-        if (u.kind != v.kind || u.a != v.a || u.b != v.b) {
-            return false;
-        }
-    }
-    const auto same_ports = [](const std::vector<netlist::Port>& p,
-                               const std::vector<netlist::Port>& q) {
-        return std::equal(p.begin(), p.end(), q.begin(), [](const auto& s, const auto& t) {
-            return s.node == t.node && s.name == t.name;
-        });
-    };
-    return same_ports(x.inputs(), y.inputs()) && same_ports(x.outputs(), y.outputs());
-}
-
-PassResult strash_substituted(const Netlist& nl, const std::vector<NodeId>& subst) {
+PassResult strash(const Netlist& nl) {
     const std::size_t n = nl.node_count();
     const auto reachable = nl.reachable_from_outputs();
 
@@ -50,10 +25,6 @@ PassResult strash_substituted(const Netlist& nl, const std::vector<NodeId>& subs
 
     for (NodeId id = 0; id < n; ++id) {
         const auto& node = nl.node(id);
-        if (!subst.empty() && subst[id] != kInvalidNode) {
-            r.node_map[id] = r.node_map[subst[id]];
-            continue;
-        }
         switch (node.kind) {
             case GateKind::Input:
                 // Inputs survive even when dead: the interface is part of
@@ -83,12 +54,6 @@ PassResult strash_substituted(const Netlist& nl, const std::vector<NodeId>& subs
         dst.add_output(port.name, r.node_map[port.node]);
     }
     return r;
-}
-
-}  // namespace internal
-
-PassResult strash(const Netlist& nl) {
-    return internal::strash_substituted(nl, {});
 }
 
 }  // namespace gfr::opt

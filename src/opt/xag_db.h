@@ -24,9 +24,9 @@
 
 namespace gfr::opt::internal {
 
-/// Largest tree cost the database enumerates (instance() clamps to it), so
-/// one structure has at most this many gates.
-inline constexpr int kMaxDatabaseGates = 7;
+/// Largest tree cost the database enumerates, so one structure has at most
+/// this many gates.
+inline constexpr int kMaxDatabaseGates = 5;
 
 /// Truth tables of the four leaf variables in 4-variable (16-row) space.
 inline constexpr std::array<std::uint16_t, 4> kLeafTruth = {0xAAAA, 0xCCCC,
@@ -41,28 +41,21 @@ public:
         std::uint16_t fb = 0;
     };
 
-    /// Shared database enumerated up to `max_gates` tree cost.  Built once
-    /// per distinct bound (magic static registry, thread-safe); the default
-    /// bound builds in milliseconds.
-    static const XagDatabase& instance(int max_gates);
+    /// The shared database, enumerated up to kMaxDatabaseGates tree cost
+    /// on first use (a function-local static, so thread-safe); it builds in
+    /// milliseconds.
+    static const XagDatabase& instance();
 
     /// Entry for a truth table; entry.cost < 0 when the function needs more
-    /// than max_gates gates.  Leaves and the constant have cost 0.
+    /// than kMaxDatabaseGates gates.  Leaves and the constant have cost 0.
     [[nodiscard]] const Entry& entry(std::uint16_t tt) const noexcept {
         return entries_[tt];
     }
 
-    [[nodiscard]] int max_gates() const noexcept { return max_gates_; }
-
-    /// Functions reachable within the bound (database size, for reports).
-    [[nodiscard]] int size() const noexcept { return size_; }
-
 private:
-    explicit XagDatabase(int max_gates);
+    XagDatabase();
 
     std::array<Entry, 65536> entries_{};
-    int max_gates_ = 0;
-    int size_ = 0;
 };
 
 }  // namespace gfr::opt::internal

@@ -532,7 +532,6 @@ TEST(AcvOptGate, AlgebraicPostGateReportsAndThrows) {
     opt::OptOptions unsound;
     unsound.verify_each_pass = false;
     unsound.restructure = false;
-    unsound.reduce = false;
     unsound.rewrite_rounds = 1;
     unsound.rewrite.unsound_for_test = true;
     unsound.algebraic_spec = &fld;

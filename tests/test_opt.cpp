@@ -1,25 +1,21 @@
-// Optimization-pipeline tier: the four passes of src/opt (strash, cut
-// rewriting, functional reduction, the campaign-gated optimize() chain),
-// the structural-hash key regression, and the widened netlist statistics.
+// Optimization-pipeline tier: the passes of src/opt (strash, cut rewriting,
+// the campaign-gated optimize() chain), the structural-hash key
+// regression, and the widened netlist statistics.
 
 #include "field/field_catalog.h"
 #include "multipliers/generator.h"
 #include "multipliers/verify.h"
 #include "netlist/equivalence.h"
 #include "netlist/passes.h"
-#include "opt/internal.h"
 #include "opt/opt.h"
 #include "testutil.h"
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
-#include <limits>
 #include <new>
 #include <string>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace gfr::opt {
@@ -309,25 +305,6 @@ TEST(RewriteCuts, CutStorageAllocatesPerBufferNotPerNode) {
     EXPECT_LE(r.netlist.stats().gates(), nl.stats().gates());
 }
 
-TEST(RewriteCuts, VeryLongCutListStillRewrites) {
-    // The pool is reserved for the default list length, never by the cap:
-    // an unbounded list must neither throw nor allocate cap-sized storage.
-    for (const auto& [m, n] : {std::pair{8, 2}, std::pair{64, 23}}) {
-        const field::Field fld = field::Field::type2(m, n);
-        const Netlist nl = mult::build_multiplier(mult::Method::Date2018Flat, fld);
-        for (const int cap : {1 << 24, std::numeric_limits<int>::max()}) {
-            SCOPED_TRACE("(" + std::to_string(m) + "," + std::to_string(n) +
-                         ") cuts_per_node=" + std::to_string(cap));
-            RewriteOptions options;
-            options.cuts_per_node = cap;
-            PassResult r;
-            ASSERT_NO_THROW(r = rewrite_cuts(nl, options));
-            EXPECT_FALSE(netlist::check_equivalence(nl, r.netlist).has_value());
-            EXPECT_LE(r.netlist.stats().gates(), nl.stats().gates());
-        }
-    }
-}
-
 TEST(RewriteCuts, UnsoundHookProducesNonEquivalentNetlist) {
     const field::Field f = field::table5_fields()[0].make();
     const Netlist nl = mult::build_date2018_flat(f);
@@ -335,159 +312,6 @@ TEST(RewriteCuts, UnsoundHookProducesNonEquivalentNetlist) {
     options.unsound_for_test = true;
     const PassResult r = rewrite_cuts(nl, options);
     EXPECT_TRUE(netlist::check_equivalence(nl, r.netlist).has_value());
-}
-
-// --- reduce_functional -------------------------------------------------------
-
-TEST(ReduceFunctional, MergesEquivalentButStructurallyDifferentCones) {
-    // y1 = (a^b)&(a^b) rebuilt as AND of two fresh copies of a^b — no
-    // structural duplicate of y0 = a^b anywhere, but functionally equal.
-    Netlist nl;
-    const NodeId a = nl.add_input("a");
-    const NodeId b = nl.add_input("b");
-    const NodeId y0 = nl.make_xor(a, b);
-    const NodeId x1 = nl.make_xor_fresh(a, b);
-    const NodeId x2 = nl.make_xor_fresh(a, b);
-    const NodeId y1 = nl.make_and_fresh(x1, x2);
-    nl.add_output("y0", y0);
-    nl.add_output("y1", y1);
-    ASSERT_EQ(nl.stats().gates(), 4);
-    const PassResult r = reduce_functional(nl);
-    EXPECT_FALSE(netlist::check_equivalence(nl, r.netlist).has_value());
-    EXPECT_EQ(r.netlist.stats().gates(), 1);
-    EXPECT_EQ(r.node_map[y0], r.node_map[y1]);
-}
-
-TEST(ReduceFunctional, NothingMergedReturnsStrashOfInput) {
-    {
-        // A strashed multiplier has no functional duplicates: the result is
-        // the input itself, node for node, under the identity map.
-        const field::Field fld = field::Field::type2(64, 23);
-        const Netlist nl =
-            strash(mult::build_multiplier(mult::Method::Date2018Flat, fld)).netlist;
-        const PassResult r = reduce_functional(nl);
-        EXPECT_EQ(testutil::netlist_fingerprint(r.netlist), testutil::netlist_fingerprint(nl));
-        ASSERT_EQ(r.node_map.size(), nl.node_count());
-        for (NodeId id = 0; id < nl.node_count(); ++id) {
-            ASSERT_EQ(r.node_map[id], id);
-        }
-    }
-    // Dead logic, non-canonical fanin order and a fresh x ^ x (the only
-    // constant-0 node, so no class holds two members): nothing merges, but
-    // strash changes the netlist.  The result must be strash(strash(nl))
-    // with the two maps composed, exactly what a rebuild and sweep give.
-    Netlist nl;
-    const NodeId a = nl.add_input("a");
-    const NodeId b = nl.add_input("b");
-    const NodeId c = nl.add_input("c");
-    static_cast<void>(nl.make_and(a, c));  // dead
-    const NodeId x = nl.make_xor_fresh(c, a);
-    const NodeId y = nl.make_and_fresh(b, x);
-    static_cast<void>(nl.make_xor(y, c));  // dead
-    const NodeId zero = nl.make_xor_fresh(y, y);
-    nl.add_output("y", y);
-    nl.add_output("x", x);
-    nl.add_output("zero", zero);
-
-    const PassResult first = strash(nl);
-    const PassResult second = strash(first.netlist);
-    ASSERT_NE(testutil::netlist_fingerprint(first.netlist), testutil::netlist_fingerprint(nl));
-    const PassResult r = reduce_functional(nl);
-    EXPECT_EQ(testutil::netlist_fingerprint(r.netlist),
-              testutil::netlist_fingerprint(second.netlist));
-    ASSERT_EQ(r.node_map.size(), nl.node_count());
-    for (NodeId id = 0; id < nl.node_count(); ++id) {
-        const NodeId mid = first.node_map[id];
-        EXPECT_EQ(r.node_map[id], mid == kInvalidNode ? kInvalidNode : second.node_map[mid])
-            << "node " << id;
-    }
-    EXPECT_FALSE(netlist::check_equivalence(nl, r.netlist).has_value());
-}
-
-TEST(ReduceFunctional, ConfirmationCapFollowsClassOrder) {
-    // Two independent mergeable pairs no structural hash can see:
-    // p1 = (a ^ c) ^ (b ^ c) computes p0 = a ^ b, and q1 = (c & d) & d
-    // computes q0 = c & d.  Classes are confirmed in ascending order of
-    // their signature hash, so with one confirmation allowed exactly the
-    // pair whose hash is lower merges.  The hash is recomputed here from
-    // the documented derivation (splitmix64 over the signature words).
-    const ReduceOptions defaults;
-    const auto input_signature = [&](NodeId id) {
-        std::array<std::uint64_t, 4> s{};
-        const std::uint64_t stream = internal::splitmix64(defaults.seed ^ (0xA5A5ULL + id));
-        for (std::size_t w = 0; w < s.size(); ++w) {
-            s[w] = internal::splitmix64(stream + w);
-        }
-        return s;
-    };
-    const auto class_hash = [](const std::array<std::uint64_t, 4>& s) {
-        std::uint64_t h = 0x12345678ULL;
-        for (const std::uint64_t word : s) {
-            h = internal::splitmix64(h ^ word);
-        }
-        return h;
-    };
-    ASSERT_EQ(defaults.signature_words, 4);
-
-    Netlist nl;
-    const NodeId a = nl.add_input("a");
-    const NodeId b = nl.add_input("b");
-    const NodeId c = nl.add_input("c");
-    const NodeId d = nl.add_input("d");
-    const NodeId p0 = nl.make_xor(a, b);
-    const NodeId q0 = nl.make_and(c, d);
-    const NodeId ac = nl.make_xor(a, c);
-    const NodeId bc = nl.make_xor(b, c);
-    const NodeId p1 = nl.make_xor(ac, bc);
-    const NodeId q1 = nl.make_and(q0, d);
-    for (const NodeId y : {p0, q0, p1, q1}) {
-        nl.add_output("y" + std::to_string(y), y);
-    }
-    std::array<std::uint64_t, 4> p_sig{};
-    std::array<std::uint64_t, 4> q_sig{};
-    const auto sa = input_signature(a);
-    const auto sb = input_signature(b);
-    const auto sc = input_signature(c);
-    const auto sd = input_signature(d);
-    for (std::size_t w = 0; w < p_sig.size(); ++w) {
-        p_sig[w] = sa[w] ^ sb[w];
-        q_sig[w] = sc[w] & sd[w];
-    }
-    const bool p_first = class_hash(p_sig) < class_hash(q_sig);
-
-    ReduceOptions capped;
-    capped.max_confirmations = 1;
-    const PassResult r = reduce_functional(nl, capped);
-    EXPECT_FALSE(netlist::check_equivalence(nl, r.netlist).has_value());
-    EXPECT_EQ(r.node_map[p0] == r.node_map[p1], p_first);
-    EXPECT_EQ(r.node_map[q0] == r.node_map[q1], !p_first);
-    EXPECT_EQ(r.netlist.stats().gates(), p_first ? 3 : 5);  // of 6
-    // Uncapped, both pairs merge.
-    const PassResult all = reduce_functional(nl);
-    EXPECT_EQ(all.node_map[p0], all.node_map[p1]);
-    EXPECT_EQ(all.node_map[q0], all.node_map[q1]);
-    EXPECT_EQ(all.netlist.stats().gates(), 2);
-}
-
-TEST(ReduceFunctional, SignatureClassesAllocatePerBufferNotPerNode) {
-    // Classes are runs of one sorted (hash, id) array, and with nothing
-    // merged the pass is one strash.  A hash map of per-class vectors made
-    // 17,949 allocations here.
-    const field::Field fld = field::Field::type2(64, 23);
-    const Netlist nl =
-        strash(mult::build_multiplier(mult::Method::Date2018Flat, fld)).netlist;
-    const testutil::AllocationGuard guard;
-    const PassResult r = reduce_functional(nl);
-    EXPECT_LE(guard.delta(), 1024);
-    EXPECT_EQ(r.netlist.node_count(), nl.node_count());
-}
-
-TEST(ReduceFunctional, PreservesMultiplierFunction) {
-    const field::Field f = field::table5_fields()[0].make();
-    const Netlist nl = mult::build_rashidi_direct(f);
-    const PassResult r = reduce_functional(nl);
-    EXPECT_FALSE(netlist::check_equivalence(nl, r.netlist).has_value());
-    EXPECT_LE(r.netlist.stats().gates(), nl.stats().gates());
 }
 
 // --- optimize() pipeline -----------------------------------------------------

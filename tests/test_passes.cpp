@@ -84,6 +84,24 @@ TEST(Balance, DuplicateLeavesCancel) {
     EXPECT_EQ(balanced.stats().n_xor, 1);  // just a ^ c
 }
 
+TEST(ExtractPairs, RebuiltDuplicateLeavesCancel) {
+    Netlist nl;
+    const auto a = nl.add_input("a");
+    const auto b = nl.add_input("b");
+    // x = a ^ (a ^ b) rebuilds to b, and so does b & x: y = x ^ (b & x) is
+    // 0, its two leaves one new node.  They must cancel in y's sum, not
+    // form a pair (b, b) whose constant-0 gate also replaces x's single b.
+    const auto x = nl.make_xor(a, nl.make_xor(a, b));
+    const auto y = nl.make_xor(x, nl.make_and(b, x));
+    nl.add_output("x", x);
+    nl.add_output("y0", y);
+    nl.add_output("y1", y);
+    ASSERT_EQ(nl.stats().gates(), 4);
+    const Netlist extracted = extract_common_xor_pairs(nl);
+    EXPECT_FALSE(check_equivalence(nl, extracted).has_value());
+    EXPECT_EQ(extracted.stats().gates(), 0);  // x = b, y0 = y1 = 0
+}
+
 TEST(Balance, AndGatesUntouched) {
     Netlist nl;
     const auto a = nl.add_input("a");

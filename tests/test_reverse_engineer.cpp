@@ -156,7 +156,6 @@ TEST(ReverseEngineer, RecoversEveryTableVField) {
         if (fld.degree() > 64) {
             opt_options.restructure = false;
             opt_options.rewrite_rounds = 0;
-            opt_options.reduce = false;
         }
         const auto optimized = opt::optimize(nl, opt_options);
         const auto anon = anonymize_ports(optimized.netlist, ++seed);
