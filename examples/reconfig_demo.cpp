@@ -11,6 +11,7 @@
 #include "field/field_catalog.h"
 #include "fpga/flow.h"
 #include "multipliers/generator.h"
+#include "opt/opt.h"
 
 #include <cstdio>
 #include <map>
@@ -82,12 +83,12 @@ int main() {
         field::Field fld = spec.make();
         const auto nl = mult::build_multiplier(mult::Method::Date2018Flat, fld);
         const auto raw_gates = nl.stats().gates();
-        fpga::FlowOptions opts;
-        opts.synthesis_freedom = true;
         // Run the campaign-gated optimization pipeline before mapping: each
         // "bitstream" is built from the optimized netlist, never the raw one.
-        opts.optimize = true;
-        auto flow = fpga::run_flow(nl, opts);
+        const auto optimized = opt::optimize(nl);
+        fpga::FlowOptions opts;
+        opts.synthesis_freedom = true;
+        auto flow = fpga::run_flow(optimized.netlist, opts);
         auto program = exec::Program::compile(flow.network);
         std::printf(
             "built configuration %-14s: %5d LUTs, %.2f ns  "

@@ -25,7 +25,8 @@
 //     an m=163 multiplier run in a few KB instead of ~0.5 MB;
 //   - bitsliced execution over 1..kMaxBlocks blocks of 64 lanes per pass
 //     (up to 1024 test vectors per sweep step): every instruction processes
-//     `blocks` words per slot, amortising tape decode across lanes.  The
+//     `blocks` words per slot, amortising tape decode across lanes
+//     (verify::BlockSweep batches campaign blocks into such passes).  The
 //     executor behind run() is runtime-dispatched (exec/run_kernels.h):
 //     AVX-512 / AVX2 backends process a block group as 512- / 256-bit
 //     vectors, and the scalar u64 loop remains the always-available
@@ -44,7 +45,6 @@
 #include "fpga/lut_network.h"
 #include "netlist/netlist.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -183,53 +183,6 @@ private:
     /// (input index, slot) for every input the tape actually reads.
     std::vector<std::pair<std::uint32_t, std::uint32_t>> input_loads_;
     std::vector<std::uint32_t> output_slots_;
-};
-
-/// Batching of a linear space of 64-lane blocks into sweeps of up to
-/// Program::kMaxBlocks blocks per tape pass.  Shared by the campaign
-/// regimes in netlist::check_equivalence and mult::verify_multiplier so
-/// their sweep indexing can never diverge.  Both regimes batch: blocks are
-/// scanned in ascending order inside a sweep, preserving the globally-first
-/// counterexample, and random-regime block contents are seeded from the
-/// *block's own* width-1 index (first_block(sweep) + b), never from the
-/// batched sweep number — so a logged counterexample coordinate replays
-/// forever, at any block width and on any backend.
-struct BlockGrouping {
-    std::uint64_t total_blocks = 0;
-    int group = 1;  ///< blocks per full sweep
-    std::uint64_t total_sweeps = 0;
-
-    /// batched=true groups up to min(kMaxBlocks, max_group) blocks per
-    /// sweep; false keeps the 1:1 sweep-to-block layout.
-    ///
-    /// Empty-space contract (pinned by tests): total_blocks == 0 yields
-    /// group == 1 and total_sweeps == 0 — a degenerate-but-valid grouping
-    /// whose sweep loop runs zero times, so first_block/blocks_in_sweep are
-    /// never consulted and the group value only has to satisfy the
-    /// "positive blocks-per-pass" invariant run() requires.
-    static BlockGrouping over(std::uint64_t total_blocks, bool batched,
-                              int max_group = Program::kMaxBlocks) noexcept {
-        BlockGrouping g;
-        g.total_blocks = total_blocks;
-        const auto cap = static_cast<std::uint64_t>(
-            std::clamp(max_group, 1, Program::kMaxBlocks));
-        g.group = batched ? static_cast<int>(std::min<std::uint64_t>(
-                                cap, total_blocks > 0 ? total_blocks : 1))
-                          : 1;
-        g.total_sweeps = (total_blocks + static_cast<std::uint64_t>(g.group) - 1) /
-                         static_cast<std::uint64_t>(g.group);
-        return g;
-    }
-
-    [[nodiscard]] std::uint64_t first_block(std::uint64_t sweep) const noexcept {
-        return sweep * static_cast<std::uint64_t>(group);
-    }
-
-    /// Blocks in this sweep (the last sweep may be partial).
-    [[nodiscard]] int blocks_in_sweep(std::uint64_t sweep) const noexcept {
-        return static_cast<int>(std::min<std::uint64_t>(
-            static_cast<std::uint64_t>(group), total_blocks - first_block(sweep)));
-    }
 };
 
 }  // namespace gfr::exec

@@ -21,14 +21,6 @@ FlowResult map_and_measure(const netlist::Netlist& prepared, const FlowOptions& 
 }  // namespace
 
 FlowResult run_flow(const netlist::Netlist& nl, const FlowOptions& options) {
-    if (options.optimize) {
-        // Optimize once up front (verified pass by pass), then re-enter the
-        // flow with the optimized netlist as the new source structure.
-        opt::OptResult optimized = opt::optimize(nl, options.opt);
-        FlowOptions rest = options;
-        rest.optimize = false;
-        return run_flow(optimized.netlist, rest);
-    }
     if (!options.synthesis_freedom) {
         // Source structure is authoritative: the netlist is mapped exactly as
         // written.  The tool still chooses whether shared signals stay hard

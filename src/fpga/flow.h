@@ -16,7 +16,6 @@
 #include "fpga/timing_model.h"
 #include "netlist/netlist.h"
 #include "netlist/passes.h"
-#include "opt/opt.h"
 
 namespace gfr::fpga {
 
@@ -31,11 +30,6 @@ struct FlowOptions {
     /// down.  Disable to force exactly the `synth` pipeline.
     bool strategy_search = true;
     netlist::SynthOptions synth{};
-    /// Run the campaign-gated optimization pipeline (opt::optimize) on the
-    /// netlist before any synthesis/mapping step.  Every pass is verified;
-    /// opt::VerificationError propagates out of run_flow if one fails.
-    bool optimize = false;
-    opt::OptOptions opt{};
     MapperOptions mapper{};
     SliceOptions slices{};
     TimingModel timing{};

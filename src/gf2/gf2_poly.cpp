@@ -136,12 +136,6 @@ void set_karatsuba_threshold_words(int words) {
     g_karatsuba_threshold.store(std::max(words, 1), std::memory_order_relaxed);
 }
 
-void mul_words_schoolbook(const std::uint64_t* a, std::size_t an,
-                          const std::uint64_t* b, std::size_t bn,
-                          std::uint64_t* dest) noexcept {
-    school_mul_words(a, an, b, bn, dest);
-}
-
 void mul_words(const std::uint64_t* a, std::size_t an, const std::uint64_t* b,
                std::size_t bn, std::uint64_t* dest, MulArena& arena) {
     const auto threshold = static_cast<std::size_t>(karatsuba_threshold_words());

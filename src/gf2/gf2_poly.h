@@ -196,8 +196,6 @@ public:
         return buf_.data();
     }
 
-    [[nodiscard]] std::size_t capacity_words() const noexcept { return buf_.size(); }
-
 private:
     WordVec buf_;
 };
@@ -209,19 +207,13 @@ private:
 [[nodiscard]] int karatsuba_threshold_words() noexcept;
 void set_karatsuba_threshold_words(int words);
 
-// --- Raw word-span products --------------------------------------------------
-// The kernels under Poly::mul_into, exposed over bare spans for callers that
-// manage their own word buffers (the field engine's inversion chain).  Both
-// XOR the product of (a, an words) x (b, bn words) into dest, which the
-// caller supplies zeroed with an + bn words.
+// --- Raw word-span product ---------------------------------------------------
 
-/// Word-level schoolbook only: one carry-less 64x64 product per word pair.
-void mul_words_schoolbook(const std::uint64_t* a, std::size_t an,
-                          const std::uint64_t* b, std::size_t bn,
-                          std::uint64_t* dest) noexcept;
-
-/// Schoolbook with the Karatsuba layer above karatsuba_threshold_words();
-/// recursion scratch comes from `arena`.
+/// The kernel under Poly::mul_into, exposed over bare spans for callers that
+/// manage their own word buffers (the field engine's inversion chain): XORs
+/// the product of (a, an words) x (b, bn words) into dest, which the caller
+/// supplies zeroed with an + bn words.  Schoolbook with the Karatsuba layer
+/// above karatsuba_threshold_words(); recursion scratch comes from `arena`.
 void mul_words(const std::uint64_t* a, std::size_t an, const std::uint64_t* b,
                std::size_t bn, std::uint64_t* dest, MulArena& arena);
 

@@ -6,23 +6,19 @@
 //
 // The netlist must expose inputs a0..a(m-1), b0..b(m-1) and outputs
 // c0..c(m-1).  For 2m <= max_exhaustive_inputs the check enumerates all
-// 2^(2m) operand pairs (word-parallel, 64 per sweep); otherwise it runs
-// random sweeps, each verifying 64 random products bit-exactly.
+// 2^(2m) operand pairs (word-parallel, 64 per block); otherwise it checks
+// random_sweeps random blocks, each verifying 64 random products
+// bit-exactly.
 //
 // The netlist compiles once into an exec::Program tape (DCE'd, fused,
-// liveness-scheduled); every sweep executes the tape — on the dispatched
-// SIMD backend by default — and both regimes batch up to
-// exec::Program::kMaxBlocks blocks (1024 test vectors) into one bitsliced
-// pass.  Batching and backend choice never move a counterexample: blocks
-// are checked in ascending order within a sweep, and random block contents
-// are seeded from the block's own width-1 index.
-//
-// The sweep space is driven through verify::Campaign: it is sharded across
-// worker threads (each owning its execution scratch over the one shared
-// immutable Program and Field), random sweeps draw their PRNG seed from
-// (options.seed, sweep index) so their contents never depend on scheduling,
-// and the reported failure is the globally first one — the verdict and the
-// counterexample are bit-identical at any thread count.
+// liveness-scheduled); every tape pass runs on the dispatched SIMD backend
+// by default, and a fused oracle checks all its products against the
+// bitsliced verify::LaneReference.  The blocks, their batching into tape
+// passes, the sharding across worker threads and the counterexample's
+// coordinates belong to verify::BlockSweep (verify/block_sweep.h), the
+// driver netlist::check_equivalence shares: the verdict and the
+// counterexample are bit-identical at any thread count, batching width and
+// backend.  For a proof over all inputs, call acv::prove_multiplier.
 
 #include "field/gf2m.h"
 #include "netlist/netlist.h"
@@ -39,23 +35,9 @@ enum class Backend : std::uint8_t;  // exec/run_kernels.h
 
 namespace gfr::mult {
 
-/// Which check(s) a verifier runs.  Simulation is the campaign described
-/// above.  Algebraic replaces it with acv::prove_multiplier — backward
-/// rewriting to canonical ANF, a *proof* over all inputs with zero
-/// simulation, and the only mode that accepts netlists with extra outputs
-/// beside c0..c(m-1) (ports resolve by name; extra output lanes are
-/// excluded from the signature).
-/// Both runs the algebraic proof first and the simulation campaign after
-/// it, failing on whichever trips.
-enum class VerifyMode : std::uint8_t {
-    Simulation,
-    Algebraic,
-    Both,
-};
-
 struct VerifyOptions {
     int max_exhaustive_inputs = 22;  ///< exhaustive iff 2m <= this (m=11 -> 2^22)
-    int random_sweeps = 64;          ///< 64 random products per sweep
+    int random_sweeps = 64;          ///< random blocks of 64 products each
     std::uint64_t seed = 0xD1CEULL;
     int threads = 0;  ///< campaign workers; <= 0 = hardware concurrency
     /// Blocks per batched tape pass (clamped to [1, exec::Program::
@@ -68,10 +50,6 @@ struct VerifyOptions {
     /// process-wide exec::dispatch() selection (bench ladders, differential
     /// tests).  Throws like Program::run when the backend is unavailable.
     std::optional<exec::Backend> exec_backend{};
-    /// See VerifyMode.  Algebraic failures surface as VerifyFailure with the
-    /// proof's synthesized witness operands and divergent coefficient;
-    /// sweep_index stays unrecorded (there is no sweep to replay).
-    VerifyMode mode = VerifyMode::Simulation;
 };
 
 /// A failing product: the operands and the first differing coefficient.
@@ -125,7 +103,9 @@ private:
 };
 
 /// std::nullopt on success.  Throws std::invalid_argument when the netlist
-/// interface does not look like an m-bit multiplier for this field.
+/// interface does not look like an m-bit multiplier for this field, when
+/// the random regime has random_sweeps < 1, or when the exhaustive regime
+/// would cover more than 69 inputs.
 /// One-shot wrapper over MultiplierVerifier (prepare + one campaign).
 std::optional<VerifyFailure> verify_multiplier(const netlist::Netlist& nl,
                                                const field::Field& field,

@@ -5,18 +5,16 @@
 //
 // Netlists are compared on matching input/output *names* (order may differ).
 // For small input counts the check is exhaustive (64 assignments per
-// simulation sweep); beyond the threshold it falls back to dense random
+// block); beyond the threshold it falls back to dense random
 // vectors.  Random simulation over tens of thousands of lanes is a strong
 // filter for XOR/AND logic of this shape: any single wrong product term
 // flips ~half of all lanes.
 //
-// Both netlists compile once into exec::Program tapes; every sweep executes
-// the compiled tapes, and exhaustive regimes batch up to four enumeration
-// blocks (256 assignments) into one bitsliced pass.  The sweep space runs
-// through verify::Campaign: shards across worker threads (each owning only
-// execution scratch over the shared immutable tapes), per-sweep seed
-// derivation in the random regime, and globally-first-mismatch reporting,
-// so verdict and counterexample are identical at any thread count.
+// Both netlists compile once into exec::Program tapes.  The blocks, their
+// batching into tape passes, the sharding across worker threads and the
+// counterexample's coordinates belong to verify::BlockSweep
+// (verify/block_sweep.h), the driver mult::MultiplierVerifier shares, so
+// verdict and counterexample are identical at any thread count.
 
 #include "netlist/netlist.h"
 
@@ -60,7 +58,9 @@ struct EquivalenceOptions {
 
 /// Returns std::nullopt when equivalent (under the chosen regime), or the
 /// first mismatch found.  Throws std::invalid_argument when the interfaces
-/// (input/output name sets) do not match.
+/// (input/output name sets) do not match, when the random regime has
+/// random_sweeps < 1, or when the exhaustive regime would cover more than
+/// 69 inputs.
 std::optional<Mismatch> check_equivalence(const Netlist& lhs, const Netlist& rhs,
                                           const EquivalenceOptions& options = {});
 

@@ -8,6 +8,7 @@
 #include <limits>
 #include <map>
 #include <queue>
+#include <span>
 #include <stdexcept>
 #include <tuple>
 #include <unordered_map>
@@ -16,55 +17,6 @@
 namespace gfr::netlist {
 
 namespace {
-
-/// Copies all inputs of `src` into `dst` (same order) and returns the
-/// old-id -> new-id map seeded with those inputs.
-std::vector<NodeId> seed_inputs(const Netlist& src, Netlist& dst) {
-    std::vector<NodeId> memo(src.node_count(), kInvalidNode);
-    for (const auto& port : src.inputs()) {
-        memo[port.node] = dst.add_input(port.name);
-    }
-    return memo;
-}
-
-/// Plain structural rebuild (no restructuring) of `id` into `dst`.  Walks
-/// the cone iteratively on `stack` (caller-owned scratch, so deep chains
-/// never touch the call stack) and creates nodes in post-order, fanin b's
-/// cone before fanin a's.
-NodeId rebuild_plain(const Netlist& src, Netlist& dst, std::vector<NodeId>& memo,
-                     std::vector<NodeId>& stack, NodeId id) {
-    stack.assign(1, id);
-    while (!stack.empty()) {
-        const NodeId top = stack.back();
-        if (memo[top] != kInvalidNode) {
-            stack.pop_back();
-            continue;
-        }
-        const Node& n = src.node(top);
-        switch (n.kind) {
-            case GateKind::Input:
-                throw std::logic_error{"rebuild_plain: input was not seeded"};
-            case GateKind::Const0:
-                memo[top] = dst.const0();
-                break;
-            case GateKind::And2:
-            case GateKind::Xor2:
-                if (memo[n.b] == kInvalidNode) {
-                    stack.push_back(n.b);
-                    continue;
-                }
-                if (memo[n.a] == kInvalidNode) {
-                    stack.push_back(n.a);
-                    continue;
-                }
-                memo[top] = n.kind == GateKind::And2 ? dst.make_and(memo[n.a], memo[n.b])
-                                                     : dst.make_xor(memo[n.a], memo[n.b]);
-                break;
-        }
-        stack.pop_back();
-    }
-    return memo[id];
-}
 
 /// Sort `leaves` and cancel equal leaves pairwise (x ^ x = 0), in place.
 void cancel_pairs(std::vector<NodeId>& leaves) {
@@ -120,7 +72,7 @@ class MinDepthXorBuilder {
 public:
     explicit MinDepthXorBuilder(Netlist& nl) : nl_{&nl} {}
 
-    NodeId build(const std::vector<NodeId>& leaves) {
+    NodeId build(std::span<const NodeId> leaves) {
         if (leaves.empty()) {
             return nl_->const0();
         }
@@ -171,6 +123,110 @@ private:
 
     Netlist* nl_;
     std::vector<int> depth_;
+};
+
+/// Rebuilds cones of `src` into `dst`, memoised per node, with the inputs
+/// copied first in their order.  Plain, it copies every gate; balancing,
+/// it flattens each XOR through its single-fanout XOR children
+/// (xor_leaves) and builds a depth-optimal tree over the rebuilt leaves.
+/// It walks iteratively on frames_ (deep chains never touch the call
+/// stack) and creates nodes in the order of the recursion it stands for:
+/// a gate's b cone before its a cone, an XOR's leaves in xor_leaves order.
+class Rebuilder {
+public:
+    Rebuilder(const Netlist& src, Netlist& dst, bool balance)
+        : src_{&src},
+          dst_{&dst},
+          balance_{balance},
+          memo_(src.node_count(), kInvalidNode),
+          fanout_{balance ? src.fanout_counts() : std::vector<int>{}},
+          builder_{dst} {
+        for (const auto& port : src.inputs()) {
+            memo_[port.node] = dst.add_input(port.name);
+        }
+    }
+
+    /// The leaves of the XOR tree at `root`, through single-fanout XORs.
+    [[nodiscard]] std::vector<NodeId> leaves(NodeId root) const {
+        return xor_leaves(*src_, root, [this](NodeId x) { return fanout_[x] <= 1; });
+    }
+
+    [[nodiscard]] MinDepthXorBuilder& builder() noexcept { return builder_; }
+
+    NodeId operator()(NodeId id) {
+        enter(id);
+        while (!frames_.empty()) {
+            // The top frame's children are the tail of pool_, from `begin`.
+            Frame& frame = frames_.back();
+            while (frame.next < pool_.size() && memo_[pool_[frame.next]] != kInvalidNode) {
+                ++frame.next;
+            }
+            if (frame.next < pool_.size()) {
+                enter(pool_[frame.next]);
+                continue;
+            }
+            const Node& n = src_->node(frame.id);
+            if (n.kind == GateKind::And2) {
+                memo_[frame.id] = dst_->make_and(memo_[n.a], memo_[n.b]);
+            } else if (!balance_) {
+                memo_[frame.id] = dst_->make_xor(memo_[n.a], memo_[n.b]);
+            } else {
+                const auto units = std::span{pool_}.subspan(frame.begin);
+                for (NodeId& unit : units) {
+                    unit = memo_[unit];
+                }
+                memo_[frame.id] = builder_.build(units);
+            }
+            pool_.resize(frame.begin);
+            frames_.pop_back();
+        }
+        return memo_[id];
+    }
+
+private:
+    /// A gate being rebuilt: its children (b then a, or its XOR leaves)
+    /// start at pool_[begin], and those before `next` are rebuilt.
+    struct Frame {
+        NodeId id = kInvalidNode;
+        std::size_t begin = 0;
+        std::size_t next = 0;
+    };
+
+    /// Starts rebuilding `id` unless it is rebuilt: a constant at once, a
+    /// gate as a new frame over its children.
+    void enter(NodeId id) {
+        if (memo_[id] != kInvalidNode) {
+            return;
+        }
+        const std::size_t begin = pool_.size();
+        const Node& n = src_->node(id);
+        switch (n.kind) {
+            case GateKind::Input:
+                throw std::logic_error{"Rebuilder: input was not seeded"};
+            case GateKind::Const0:
+                memo_[id] = dst_->const0();
+                return;
+            case GateKind::And2:
+            case GateKind::Xor2:
+                if (n.kind == GateKind::Xor2 && balance_) {
+                    const auto units = leaves(id);
+                    pool_.insert(pool_.end(), units.begin(), units.end());
+                } else {
+                    pool_.insert(pool_.end(), {n.b, n.a});
+                }
+                break;
+        }
+        frames_.push_back(Frame{id, begin, begin});
+    }
+
+    const Netlist* src_;
+    Netlist* dst_;
+    bool balance_;
+    std::vector<NodeId> memo_;  ///< old id -> new id
+    std::vector<int> fanout_;   ///< src's fanout counts when balancing
+    MinDepthXorBuilder builder_;
+    std::vector<Frame> frames_;
+    std::vector<NodeId> pool_;  ///< the open frames' children
 };
 
 /// The input wires of a cone that fits one 6-LUT: at most six sorted ids
@@ -439,47 +495,75 @@ private:
     }
 
     /// Input wires a cone needs if absorbed into a LUT; {self} when the cone
-    /// is already wider than one LUT (it becomes a LUT output wire).
+    /// is already wider than one LUT (it becomes a LUT output wire).  Each
+    /// entry is a pure function of its fanins' entries, so the walk runs
+    /// iteratively, fanins first (deep chains never touch the call stack);
+    /// a node on the walk is always one whose entry is still unknown.
     const WireSet& effective_support(NodeId id) {
-        WireSet& entry = support_[id];
-        if (entry.size != WireSet::kUnknown) {
-            return entry;
+        if (support_[id].size != WireSet::kUnknown) {
+            return support_[id];
         }
-        const Node& n = nl_->node(id);
-        switch (n.kind) {
-            case GateKind::Input:
-                entry = WireSet::single(id);
-                break;
-            case GateKind::Const0:
-                entry.size = 0;
-                break;
-            case GateKind::And2:
-            case GateKind::Xor2:
-                if (!WireSet::merge(effective_support(n.a), effective_support(n.b), entry)) {
-                    entry = WireSet::single(id);  // too wide: a LUT boundary forms here
-                }
-                break;
+        support_walk_.assign(1, id);
+        while (!support_walk_.empty()) {
+            const NodeId top = support_walk_.back();
+            WireSet& entry = support_[top];
+            const Node& n = nl_->node(top);
+            switch (n.kind) {
+                case GateKind::Input:
+                    entry = WireSet::single(top);
+                    break;
+                case GateKind::Const0:
+                    entry.size = 0;
+                    break;
+                case GateKind::And2:
+                case GateKind::Xor2:
+                    if (support_[n.a].size == WireSet::kUnknown) {
+                        support_walk_.push_back(n.a);
+                        continue;
+                    }
+                    if (support_[n.b].size == WireSet::kUnknown) {
+                        support_walk_.push_back(n.b);
+                        continue;
+                    }
+                    if (!WireSet::merge(support_[n.a], support_[n.b], entry)) {
+                        entry = WireSet::single(top);  // too wide: a LUT boundary forms here
+                    }
+                    break;
+            }
+            support_walk_.pop_back();
         }
-        return entry;
+        return support_[id];
     }
 
-    /// LUT levels this cone needs (0 = wire/input, 1 = fits one LUT, ...).
+    /// LUT levels this cone needs (0 = wire/input, 1 = fits one LUT, ...);
+    /// iterative like effective_support.
     int level_of(NodeId id) {
         if (level_[id] != kUnknownLevel) {
             return level_[id];
         }
-        const Node& n = nl_->node(id);
-        int level = 0;
-        if (n.kind == GateKind::And2 || n.kind == GateKind::Xor2) {
-            const WireSet& support = effective_support(id);
-            if (!(support.size == 1 && support.ids[0] == id)) {
-                level = 1;  // whole cone absorbable into one LUT
-            } else {
-                level = 1 + std::max(level_of(n.a), level_of(n.b));
+        level_walk_.assign(1, id);
+        while (!level_walk_.empty()) {
+            const NodeId top = level_walk_.back();
+            const Node& n = nl_->node(top);
+            int level = 0;
+            if (n.kind == GateKind::And2 || n.kind == GateKind::Xor2) {
+                const WireSet& support = effective_support(top);
+                if (!(support.size == 1 && support.ids[0] == top)) {
+                    level = 1;  // whole cone absorbable into one LUT
+                } else if (level_[n.a] == kUnknownLevel) {
+                    level_walk_.push_back(n.a);
+                    continue;
+                } else if (level_[n.b] == kUnknownLevel) {
+                    level_walk_.push_back(n.b);
+                    continue;
+                } else {
+                    level = 1 + std::max(level_[n.a], level_[n.b]);
+                }
             }
+            level_[top] = level;
+            level_walk_.pop_back();
         }
-        level_[id] = level;
-        return level;
+        return level_[id];
     }
 
     Netlist* nl_;
@@ -494,80 +578,39 @@ private:
     std::array<std::vector<std::uint64_t>, WireSet::kMax + 1> heaps_;
     std::vector<std::uint32_t> touched_;  ///< items whose overlap is nonzero
     std::vector<NodeId> chunk_;
+    std::vector<NodeId> support_walk_;  ///< effective_support's pending nodes
+    std::vector<NodeId> level_walk_;    ///< level_of's pending nodes
 };
 
 }  // namespace
 
 Netlist dce(const Netlist& nl) {
     Netlist out;
-    auto memo = seed_inputs(nl, out);
-    std::vector<NodeId> stack;
+    Rebuilder rebuild{nl, out, false};
     for (const auto& port : nl.outputs()) {
-        out.add_output(port.name, rebuild_plain(nl, out, memo, stack, port.node));
+        out.add_output(port.name, rebuild(port.node));
     }
     return out;
 }
 
 Netlist balance_xor_trees(const Netlist& nl) {
     Netlist out;
-    auto memo = seed_inputs(nl, out);
-    const auto fanout = nl.fanout_counts();
-    MinDepthXorBuilder builder{out};
-
-    // Recursive rebuild; XOR roots are flattened through single-fanout XOR
-    // children and rebuilt depth-optimally over their (possibly deep) units.
-    auto rebuild = [&](auto&& self, NodeId id) -> NodeId {
-        if (memo[id] != kInvalidNode) {
-            return memo[id];
-        }
-        const Node& n = nl.node(id);
-        NodeId result = kInvalidNode;
-        switch (n.kind) {
-            case GateKind::Input:
-                result = memo[id];
-                break;
-            case GateKind::Const0:
-                result = out.const0();
-                break;
-            case GateKind::And2: {
-                // b's cone first, as in rebuild_plain; sequenced because
-                // argument evaluation order is unspecified.
-                const NodeId b = self(self, n.b);
-                result = out.make_and(self(self, n.a), b);
-                break;
-            }
-            case GateKind::Xor2: {
-                const auto leaves = xor_leaves(
-                    nl, id, [&](NodeId x) { return fanout[x] <= 1; });
-                std::vector<NodeId> new_leaves;
-                new_leaves.reserve(leaves.size());
-                for (const NodeId leaf : leaves) {
-                    new_leaves.push_back(self(self, leaf));
-                }
-                result = builder.build(new_leaves);
-                break;
-            }
-        }
-        memo[id] = result;
-        return result;
-    };
-
+    Rebuilder rebuild{nl, out, true};
     for (const auto& port : nl.outputs()) {
-        out.add_output(port.name, rebuild(rebuild, port.node));
+        out.add_output(port.name, rebuild(port.node));
     }
     return out;
 }
 
 Netlist flatten_to_anf(const Netlist& nl) {
     Netlist out;
-    auto memo = seed_inputs(nl, out);
-    std::vector<NodeId> stack;
+    Rebuilder rebuild{nl, out, false};
     LutAwareXorBuilder builder{out};
 
     for (const auto& port : nl.outputs()) {
         const Node& n = nl.node(port.node);
         if (n.kind != GateKind::Xor2) {
-            out.add_output(port.name, rebuild_plain(nl, out, memo, stack, port.node));
+            out.add_output(port.name, rebuild(port.node));
             continue;
         }
         // Expand through EVERY XOR node (shared or not): only the AND-level
@@ -576,7 +619,7 @@ Netlist flatten_to_anf(const Netlist& nl) {
         std::vector<NodeId> new_leaves;
         new_leaves.reserve(leaves.size());
         for (const NodeId leaf : leaves) {
-            new_leaves.push_back(rebuild_plain(nl, out, memo, stack, leaf));
+            new_leaves.push_back(rebuild(leaf));
         }
         // Id order == creation order: products created together (e.g. the two
         // halves of a z term) stay adjacent, so identical subtrees reappear
@@ -589,8 +632,7 @@ Netlist flatten_to_anf(const Netlist& nl) {
 
 Netlist group_common_cones(const Netlist& nl) {
     Netlist out;
-    auto memo = seed_inputs(nl, out);
-    std::vector<NodeId> stack;
+    Rebuilder rebuild{nl, out, false};
     LutAwareXorBuilder builder{out};
 
     // 1. Full ANF leaf lists per output (old ids), duplicates cancelled.
@@ -604,7 +646,7 @@ Netlist group_common_cones(const Netlist& nl) {
                 xor_leaves(nl, root, [](NodeId) { return true; });
         } else {
             plain_outputs[static_cast<std::size_t>(oi)] =
-                rebuild_plain(nl, out, memo, stack, root);
+                rebuild(root);
         }
     }
 
@@ -627,7 +669,7 @@ Netlist group_common_cones(const Netlist& nl) {
         std::vector<NodeId> new_leaves;
         new_leaves.reserve(leaves.size());
         for (const NodeId leaf : leaves) {
-            new_leaves.push_back(rebuild_plain(nl, out, memo, stack, leaf));
+            new_leaves.push_back(rebuild(leaf));
         }
         std::sort(new_leaves.begin(), new_leaves.end());
         const NodeId unit = builder.build(new_leaves);
@@ -653,64 +695,23 @@ Netlist extract_common_xor_pairs(const Netlist& nl) { return extract_common_xor_
 
 Netlist extract_common_xor_pairs(const Netlist& nl, int min_count) {
     Netlist out;
-    auto memo = seed_inputs(nl, out);
-    const auto fanout = nl.fanout_counts();
-    MinDepthXorBuilder builder{out};
-
     // 1. Flatten every output into a list of leaves in the *new* netlist.
     //    Expansion stops at non-XOR nodes and at shared (multi-fanout) XOR
-    //    subterms, which are rebuilt as units via balance-style recursion.
-    auto rebuild_leaf = [&](auto&& self, NodeId id) -> NodeId {
-        if (memo[id] != kInvalidNode) {
-            return memo[id];
-        }
-        const Node& n = nl.node(id);
-        NodeId result = kInvalidNode;
-        switch (n.kind) {
-            case GateKind::Input:
-                result = memo[id];
-                break;
-            case GateKind::Const0:
-                result = out.const0();
-                break;
-            case GateKind::And2: {
-                // b's cone first, as in rebuild_plain; sequenced because
-                // argument evaluation order is unspecified.
-                const NodeId b = self(self, n.b);
-                result = out.make_and(self(self, n.a), b);
-                break;
-            }
-            case GateKind::Xor2: {
-                const auto leaves = xor_leaves(
-                    nl, id, [&](NodeId x) { return fanout[x] <= 1; });
-                std::vector<NodeId> new_leaves;
-                new_leaves.reserve(leaves.size());
-                for (const NodeId leaf : leaves) {
-                    new_leaves.push_back(self(self, leaf));
-                }
-                result = builder.build(new_leaves);
-                break;
-            }
-        }
-        memo[id] = result;
-        return result;
-    };
+    //    subterms, which are rebuilt as units, balance-style.
+    Rebuilder rebuild{nl, out, true};
 
     // Each list is a set: two old leaves can rebuild onto one new node
     // (b & x with x == b rebuilds to b), and such a pair cancels mod 2.
     std::vector<std::vector<NodeId>> lists;   // sorted leaf sets, new ids
     lists.reserve(nl.outputs().size());
     for (const auto& port : nl.outputs()) {
-        const Node& n = nl.node(port.node);
         std::vector<NodeId> new_leaves;
-        if (n.kind == GateKind::Xor2) {
-            const auto leaves =
-                xor_leaves(nl, port.node, [&](NodeId x) { return fanout[x] <= 1; });
-            for (const NodeId leaf : leaves) {
-                new_leaves.push_back(rebuild_leaf(rebuild_leaf, leaf));
+        if (nl.node(port.node).kind == GateKind::Xor2) {
+            for (const NodeId leaf : rebuild.leaves(port.node)) {
+                new_leaves.push_back(rebuild(leaf));
             }
         } else {
-            new_leaves.push_back(rebuild_leaf(rebuild_leaf, port.node));
+            new_leaves.push_back(rebuild(port.node));
         }
         cancel_pairs(new_leaves);
         lists.push_back(std::move(new_leaves));
@@ -840,7 +841,7 @@ Netlist extract_common_xor_pairs(const Netlist& nl, int min_count) {
 
     // 3. Depth-aware rebuild of every output over its final leaf list.
     for (std::size_t oi = 0; oi < nl.outputs().size(); ++oi) {
-        out.add_output(nl.outputs()[oi].name, builder.build(lists[oi]));
+        out.add_output(nl.outputs()[oi].name, rebuild.builder().build(lists[oi]));
     }
     return out;
 }

@@ -29,13 +29,16 @@
 //
 // optimize() chains them, with strash first and a strash sweep last on
 // every call, and gates EVERY pass with the equivalence campaign
-// (netlist::check_equivalence rides verify::Campaign): a pass whose output
+// (netlist::check_equivalence rides verify::BlockSweep): a pass whose output
 // is not equivalent to its input throws VerificationError and nothing
 // downstream ever sees the bad netlist.  The mutation tier proves the gate
 // bites (RewriteOptions::unsound_for_test).  The campaign is skipped only
 // for output node-for-node identical to the pass input (same node count,
 // the same (kind, a, b) at every id, the same ports with the same names),
-// which is equivalent by construction; never on gate count alone.
+// which is equivalent by construction; never on gate count alone.  The
+// gates compare each pass with its input, not with a spec: to prove an
+// optimized multiplier computes A*B mod f, call acv::prove_multiplier on
+// the result.
 
 #include "netlist/equivalence.h"
 #include "netlist/netlist.h"
@@ -44,10 +47,6 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
-
-namespace gfr::field {
-class Field;  // field/gf2m.h
-}
 
 namespace gfr::opt {
 
@@ -112,14 +111,6 @@ struct OptOptions {
     /// switch exists for benchmarking the passes themselves.
     bool verify_each_pass = true;
     netlist::EquivalenceOptions verify{};
-    /// Opt-in algebraic post-gate: after the last pass, PROVE the optimized
-    /// netlist computes A*B in this field via acv::prove_multiplier — a
-    /// zero-simulation check of the end result against the word-level spec,
-    /// independent of the per-pass equivalence campaigns (which compare
-    /// netlist to netlist, not netlist to spec).  Failure throws
-    /// VerificationError with pass name "algebraic".  The Field must
-    /// outlive the call.  nullptr (default) skips the gate.
-    const field::Field* algebraic_spec = nullptr;
 };
 
 struct OptResult {

@@ -10,7 +10,6 @@
 
 #include "opt/opt.h"
 
-#include "acv/acv.h"
 #include "netlist/clone.h"
 #include "netlist/equivalence.h"
 #include "netlist/passes.h"
@@ -154,23 +153,6 @@ OptResult optimize(const Netlist& nl, const OptOptions& options) {
     }
 
     strash_stage("sweep");
-
-    if (options.algebraic_spec != nullptr) {
-        // End-to-end algebraic gate: prove the PIPELINE OUTPUT computes
-        // A*B mod f, independent of the pass-by-pass equivalence chain.  A
-        // chain of equivalences anchors to the input netlist; this anchors
-        // to the spec itself, so it also catches a wrong netlist fed in.
-        PassReport report;
-        report.pass = "algebraic";
-        report.gates_before = report.gates_after = current.gates();
-        report.xor_depth_before = report.xor_depth_after = current.xor_depth;
-        if (const auto failure =
-                acv::prove_multiplier(result.netlist, *options.algebraic_spec)) {
-            throw VerificationError("algebraic", failure->to_string());
-        }
-        report.verified = true;
-        result.passes.push_back(std::move(report));
-    }
 
     return result;
 }

@@ -3,28 +3,31 @@
 
 // Parallel verification campaign engine.
 //
-// Every verifier in this repo reduces to the same shape: a space of 64-lane
-// "sweeps" (one word-parallel simulation plus a reference comparison), any
-// one of which may surface a counterexample.  A Campaign shards that space
-// across worker threads while keeping the *result* a pure function of the
-// sweep space — never of the thread count or the scheduler:
+// Every verifier in this repo reduces to the same shape: a space of
+// "sweeps", any one of which may surface a counterexample.  A Campaign
+// shards that space across worker threads while keeping the *result* a
+// pure function of the sweep space — never of the thread count or the
+// scheduler:
 //
-//   - Sweeps are indexed 0..total-1.  Exhaustive regimes use the index as
-//     the enumeration block; random regimes derive a per-sweep PRNG seed
-//     from (campaign seed, sweep index) via derive_sweep_seed(), so sweep
-//     contents are identical no matter which worker runs them.
+//   - Sweeps are indexed 0..total-1, and a sweep's contents depend on its
+//     index alone (random blocks seed from (campaign seed, block index) via
+//     derive_sweep_seed()), so they are identical no matter which worker
+//     runs them.
 //   - Workers claim contiguous chunks from an atomic cursor.  Each worker
-//     owns its sweep state outright (simulator buffers, FieldOps::Scratch)
-//     — the factory is called once per worker — while immutable inputs
-//     (the Netlist, the Field) are shared freely.
+//     owns its sweep state outright (input blocks, execution scratch) —
+//     the factory is called once per worker — while immutable inputs (the
+//     compiled tapes, the Field) are shared freely.
 //   - The first failure publishes its sweep index into an atomic running
 //     minimum.  Sweeps at or above the published minimum are skipped, so a
 //     failing campaign winds down early; sweeps *below* it are still
 //     completed, which is exactly what makes the returned index the global
 //     minimum — the same counterexample a single-threaded scan would find.
 //
-// The engine knows nothing about fields or netlists; mult::verify_multiplier
-// and netlist::check_equivalence supply the sweep bodies.
+// The engine knows nothing about fields or netlists, and two drivers build
+// it: verify::BlockSweep (verify/block_sweep.h), the one simulation
+// campaign behind mult::verify_multiplier and netlist::check_equivalence,
+// whose sweeps are batches of 64-lane blocks; and acv::prove_multiplier,
+// whose sweeps are output columns.
 
 #include <cstdint>
 #include <functional>

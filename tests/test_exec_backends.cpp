@@ -144,45 +144,6 @@ TEST(ExecBackends, ProcessDispatchMatchesEnvironmentPolicy) {
     }
 }
 
-// --- BlockGrouping contract --------------------------------------------------
-
-TEST(ExecBackends, BlockGroupingEmptySpaceContract) {
-    // total_blocks == 0: group stays a valid pass width (1) and the sweep
-    // loop runs zero times — pinned so campaign drivers may feed empty
-    // spaces without special-casing.
-    for (const bool batched : {false, true}) {
-        const BlockGrouping g = BlockGrouping::over(0, batched);
-        EXPECT_EQ(g.total_blocks, 0U);
-        EXPECT_EQ(g.group, 1);
-        EXPECT_EQ(g.total_sweeps, 0U);
-    }
-}
-
-TEST(ExecBackends, BlockGroupingBatchesAndClamps) {
-    // Unbatched: 1:1 sweeps to blocks.
-    const BlockGrouping flat = BlockGrouping::over(100, false);
-    EXPECT_EQ(flat.group, 1);
-    EXPECT_EQ(flat.total_sweeps, 100U);
-
-    // Batched: full width, last sweep partial.
-    const BlockGrouping wide = BlockGrouping::over(33, true);
-    EXPECT_EQ(wide.group, Program::kMaxBlocks);
-    EXPECT_EQ(wide.total_sweeps, 3U);
-    EXPECT_EQ(wide.first_block(2), 32U);
-    EXPECT_EQ(wide.blocks_in_sweep(0), Program::kMaxBlocks);
-    EXPECT_EQ(wide.blocks_in_sweep(2), 1);
-
-    // Small spaces never over-batch.
-    EXPECT_EQ(BlockGrouping::over(5, true).group, 5);
-    EXPECT_EQ(BlockGrouping::over(5, true).total_sweeps, 1U);
-
-    // max_group clamps into [1, kMaxBlocks].
-    EXPECT_EQ(BlockGrouping::over(100, true, 0).group, 1);
-    EXPECT_EQ(BlockGrouping::over(100, true, -3).group, 1);
-    EXPECT_EQ(BlockGrouping::over(100, true, 4).group, 4);
-    EXPECT_EQ(BlockGrouping::over(100, true, 64).group, Program::kMaxBlocks);
-}
-
 // --- Differential: every backend vs the scalar reference ---------------------
 
 TEST(ExecBackends, AllBackendsMatchScalarEveryFamilyEveryWidth) {

@@ -1,8 +1,11 @@
 // Synthesis passes: every pass must preserve function; balancing must reach
 // optimal depth; pair extraction must find cross-output sharing.
 
+#include "fpga/flow.h"
 #include "netlist/equivalence.h"
 #include "netlist/passes.h"
+#include "netlist/simulate.h"
+#include "opt/opt.h"
 
 #include <gtest/gtest.h>
 
@@ -257,6 +260,32 @@ TEST(Synthesize, OutputsDrivenByInputsSurvive) {
         ASSERT_EQ(out.outputs().size(), 1U);
         EXPECT_FALSE(check_equivalence(nl, out).has_value());
     }
+}
+
+TEST(DeepNetlists, HundredThousandLevelChainThroughEveryPass) {
+    // Inputs a, b and 100,000 levels of x = (x & v) ^ v, v alternating b
+    // and a: no pass may recurse once per level (on an 8 MB stack that
+    // overflowed past about 15,000 levels).  Each result is checked on all
+    // four input assignments against the interpreter on the source.
+    Netlist nl;
+    const NodeId a = nl.add_input("a");
+    const NodeId b = nl.add_input("b");
+    NodeId x = a;
+    for (int level = 0; level < 100'000; ++level) {
+        const NodeId v = level % 2 == 0 ? b : a;
+        x = nl.make_xor(nl.make_and(x, v), v);
+    }
+    nl.add_output("y", x);
+    ASSERT_EQ(nl.node_count(), 200'002U);
+
+    const std::vector<std::uint64_t> in{exhaustive_pattern(0, 0), exhaustive_pattern(1, 0)};
+    const auto want = simulate_interpreted(nl, in);
+    EXPECT_EQ(simulate_interpreted(balance_xor_trees(nl), in), want);
+    EXPECT_EQ(simulate_interpreted(extract_common_xor_pairs(nl, 2), in), want);
+    EXPECT_EQ(simulate_interpreted(flatten_to_anf(nl), in), want);
+    EXPECT_EQ(simulate_interpreted(group_common_cones(nl), in), want);
+    EXPECT_EQ(simulate_interpreted(opt::optimize(nl).netlist, in), want);
+    EXPECT_EQ(fpga::run_flow(nl, {.synthesis_freedom = true}).network.simulate(in), want);
 }
 
 }  // namespace

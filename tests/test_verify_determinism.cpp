@@ -13,10 +13,16 @@
 //     1 thread and N threads must report the identical VerifyFailure /
 //     Mismatch;
 //   - regime parity: exhaustive and random regimes both hold the guarantee.
+//
+// CounterexampleStringsPinned freezes the exact counterexample strings both
+// checkers print for seeded single-gate mutants of every Table V family, so
+// a refactor of the sweep driver cannot move one silently.
 
+#include "field/field_catalog.h"
 #include "multipliers/generator.h"
 #include "multipliers/verify.h"
 #include "netlist/equivalence.h"
+#include "netlist/simulate.h"
 #include "verify/campaign.h"
 #include "testutil.h"
 
@@ -195,6 +201,113 @@ TEST(EquivalenceDeterminism, ExhaustiveMismatchIdenticalAtEveryThreadCount) {
         const auto mm = netlist::check_equivalence(lhs, rhs, opts);
         ASSERT_TRUE(mm.has_value()) << threads << " threads";
         EXPECT_EQ(mm->to_string(), reference->to_string()) << threads << " threads";
+    }
+}
+
+/// A seeded single-gate mutant of `nl`: the first And2 <-> Xor2 flip, at a
+/// reachable gate drawn by `rng`, that the gate-by-gate interpreter shows
+/// to change an output on 64 random lanes.
+netlist::Netlist seeded_mutant(const netlist::Netlist& nl, testutil::Xorshift64Star& rng) {
+    const auto reachable = nl.reachable_from_outputs();
+    std::vector<netlist::NodeId> gates;
+    for (netlist::NodeId id = 0; id < nl.node_count(); ++id) {
+        const auto kind = nl.node(id).kind;
+        if (reachable[id] &&
+            (kind == netlist::GateKind::And2 || kind == netlist::GateKind::Xor2)) {
+            gates.push_back(id);
+        }
+    }
+    std::vector<std::uint64_t> in(nl.inputs().size());
+    for (auto& word : in) {
+        word = rng();
+    }
+    const auto want = netlist::simulate_interpreted(nl, in);
+    for (int attempt = 0; attempt < 64; ++attempt) {
+        const netlist::NodeId target = gates[rng() % gates.size()];
+        auto mutant = testutil::clone_netlist(
+            nl, [target](netlist::NodeId id, netlist::GateKind& kind, netlist::NodeId&,
+                         netlist::NodeId&) {
+                if (id == target) {
+                    kind = kind == netlist::GateKind::And2 ? netlist::GateKind::Xor2
+                                                           : netlist::GateKind::And2;
+                }
+            });
+        if (netlist::simulate_interpreted(mutant, in) != want) {
+            return mutant;
+        }
+    }
+    ADD_FAILURE() << "no seeded flip changed an output";
+    return nl;
+}
+
+void feed_string(testutil::Fingerprint& fp, const std::string& s) {
+    fp.feed(s.size());
+    for (const char c : s) {
+        fp.feed(static_cast<unsigned char>(c));
+    }
+}
+
+TEST(VerifyDeterminism, CounterexampleStringsPinned) {
+    // Every Table V family plus the literal elaboration, at (8,2)
+    // (exhaustive regime), (64,23) and (163,68) (random regime, one word
+    // and three words), each with one seeded single-gate mutant.  Both
+    // checkers' strings are pinned as one fingerprint per checker, and
+    // must not move with the thread count or the batching width.
+    std::vector<field::Field> fields;
+    fields.reserve(3);
+    for (const auto& [m, n] : {std::pair{8, 2}, std::pair{64, 23}, std::pair{163, 68}}) {
+        fields.push_back(field::Field::type2(m, n));
+    }
+    struct Case {
+        const field::Field* field;
+        netlist::Netlist original;
+        netlist::Netlist mutant;
+    };
+    std::vector<Case> cases;
+    testutil::Xorshift64Star rng{0x57A1E5ULL};
+    for (const field::Field& f : fields) {
+        std::vector<netlist::Netlist> originals;
+        for (const auto& info : mult::all_methods()) {
+            if (info.in_table5) {
+                originals.push_back(mult::build_multiplier(info.method, f));
+            }
+        }
+        originals.push_back(mult::build_multiplier(mult::Method::Date2018Flat, f,
+                                                   mult::Elaboration::Literal));
+        for (auto& nl : originals) {
+            auto mutant = seeded_mutant(nl, rng);
+            cases.push_back({&f, std::move(nl), std::move(mutant)});
+        }
+    }
+    ASSERT_EQ(cases.size(), 21U);
+
+    for (const int threads : {1, 4}) {
+        for (const int batch : {1, 16}) {
+            mult::VerifyOptions opts;
+            opts.threads = threads;
+            opts.max_batch_blocks = batch;
+            testutil::Fingerprint fp;
+            for (const Case& c : cases) {
+                const auto failure = mult::verify_multiplier(c.mutant, *c.field, opts);
+                ASSERT_TRUE(failure.has_value());
+                EXPECT_NE(failure->to_string().find(" [repro: "), std::string::npos);
+                feed_string(fp, failure->to_string());
+            }
+            EXPECT_EQ(fp.value(), 0x89c11bf4c1c423a9ULL) << threads << " threads, batch " << batch;
+        }
+    }
+
+    for (const int threads : {1, 4}) {
+        netlist::EquivalenceOptions opts;
+        opts.threads = threads;
+        testutil::Fingerprint fp;
+        for (const Case& c : cases) {
+            const auto mm = netlist::check_equivalence(c.original, c.mutant, opts);
+            ASSERT_TRUE(mm.has_value());
+            EXPECT_NE(mm->to_string().find(" [repro: "), std::string::npos);
+            feed_string(fp, mm->to_string());
+        }
+        EXPECT_EQ(fp.value(), 0x6f91ec595c14a8c2ULL) << threads << " threads";
     }
 }
 

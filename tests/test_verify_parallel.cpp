@@ -6,7 +6,8 @@
 //      failing sweep index no matter the thread count or schedule, every
 //      sweep below that minimum is actually executed (nothing is skipped
 //      that could have failed earlier), trivial spaces run inline, and
-//      worker exceptions propagate.
+//      worker exceptions propagate.  The block sweep's batching
+//      (BlockGrouping) is pinned beside it.
 //
 //   2. The verifiers built on it: many concurrent verify_multiplier /
 //      check_equivalence runs over ONE shared immutable Field and netlist
@@ -20,6 +21,7 @@
 #include "multipliers/generator.h"
 #include "multipliers/verify.h"
 #include "netlist/equivalence.h"
+#include "verify/block_sweep.h"
 #include "verify/campaign.h"
 #include "testutil.h"
 
@@ -131,6 +133,82 @@ TEST(Campaign, FactoryRunsOncePerWorker) {
         return [](std::uint64_t) { return false; };
     }));
     EXPECT_EQ(factories.load(), expected);
+}
+
+// --- Block grouping of the sweep driver ---------------------------------------
+
+TEST(BlockGrouping, EmptySpaceContract) {
+    // total_blocks == 0: group stays a valid pass width (1) and the sweep
+    // loop runs zero times, so the driver feeds empty spaces without
+    // special-casing.
+    for (const int max_group : {1, 4, exec::Program::kMaxBlocks}) {
+        const BlockGrouping g = BlockGrouping::over(0, max_group);
+        EXPECT_EQ(g.total_blocks, 0U);
+        EXPECT_EQ(g.group, 1);
+        EXPECT_EQ(g.total_sweeps, 0U);
+    }
+}
+
+TEST(BlockGrouping, BatchesAndClamps) {
+    // Width 1: sweeps map 1:1 to blocks.
+    const BlockGrouping flat = BlockGrouping::over(100, 1);
+    EXPECT_EQ(flat.group, 1);
+    EXPECT_EQ(flat.total_sweeps, 100U);
+
+    // Full width, last sweep partial.
+    const BlockGrouping wide = BlockGrouping::over(33);
+    EXPECT_EQ(wide.group, exec::Program::kMaxBlocks);
+    EXPECT_EQ(wide.total_sweeps, 3U);
+    EXPECT_EQ(wide.first_block(2), 32U);
+    EXPECT_EQ(wide.blocks_in_sweep(0), exec::Program::kMaxBlocks);
+    EXPECT_EQ(wide.blocks_in_sweep(2), 1);
+
+    // Small spaces never over-batch.
+    EXPECT_EQ(BlockGrouping::over(5).group, 5);
+    EXPECT_EQ(BlockGrouping::over(5).total_sweeps, 1U);
+
+    // max_group clamps into [1, kMaxBlocks].
+    EXPECT_EQ(BlockGrouping::over(100, 0).group, 1);
+    EXPECT_EQ(BlockGrouping::over(100, -3).group, 1);
+    EXPECT_EQ(BlockGrouping::over(100, 4).group, 4);
+    EXPECT_EQ(BlockGrouping::over(100, 64).group, exec::Program::kMaxBlocks);
+}
+
+TEST(BlockSweep, RejectsEmptyRandomSpaceAndOversizedExhaustiveSpace) {
+    // random_sweeps 0 made both checkers pass having checked nothing, and a
+    // negative count wrapped into a space the grouping rounded to zero
+    // sweeps; more than 69 exhaustive inputs shifted a block count past 64
+    // bits.
+    const field::Field f = field::Field::type2(64, 23);
+    const auto nl = mult::build_multiplier(mult::Method::Date2018Flat, f);
+    const auto thrown = [](const auto& call) -> std::string {
+        try {
+            call();
+        } catch (const std::invalid_argument& e) {
+            return e.what();
+        }
+        return "no throw";
+    };
+    for (const int sweeps : {0, -1}) {
+        mult::VerifyOptions none;
+        none.random_sweeps = sweeps;
+        EXPECT_EQ(thrown([&] { (void)mult::verify_multiplier(nl, f, none); }),
+                  "verify: random_sweeps must be positive");
+        netlist::EquivalenceOptions eq_none;
+        eq_none.random_sweeps = sweeps;
+        EXPECT_EQ(thrown([&] { (void)netlist::check_equivalence(nl, nl, eq_none); }),
+                  "verify: random_sweeps must be positive");
+    }
+    mult::VerifyOptions wide;
+    wide.max_exhaustive_inputs = 200;
+    EXPECT_EQ(thrown([&] { (void)mult::verify_multiplier(nl, f, wide); }),
+              "verify: exhaustive space over 69 inputs");
+    netlist::EquivalenceOptions eq_wide;
+    eq_wide.max_exhaustive_inputs = 200;
+    EXPECT_EQ(thrown([&] { (void)netlist::check_equivalence(nl, nl, eq_wide); }),
+              "verify: exhaustive space over 69 inputs");
+    EXPECT_NO_THROW((BlockSweep{69, {.max_exhaustive_inputs = 69}}));
+    EXPECT_NO_THROW((BlockSweep{70, {.random_blocks = 1}}));
 }
 
 // --- Shared-Field verification hammer ---------------------------------------
